@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen-x, gen-es, analyze, verify, bounds, fat-cap, plot.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or build errors.
 All outputs are written atomically (temp file + rename) and are
 byte-deterministic for identical arguments and seeds.
 """
@@ -22,8 +22,8 @@ from .extremal import (find_structure, longest_cap, longest_cup,
 from .geom import PointSet, shear_distinct_x
 from .relative import find_fat_cap, populate_support, transversal_check
 
-_CONFIG_KEYS = ("c", "c1", "big_c", "epsilon", "seed", "sample_budget",
-                "search_budget")
+_BOUNDS_KEYS = ("c", "c1", "big_c", "epsilon")
+_RUN_KEYS = ("seed", "sample_budget", "search_budget")
 
 
 @dataclass(frozen=True)
@@ -45,21 +45,13 @@ class RunConfig:
                     raise ValueError(f"config line {lineno}: expected key=value")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _BOUNDS_KEYS + _RUN_KEYS:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
                 values[key] = val.strip()
-        cfg = BoundsConfig(
-            c=Fraction(values.get("c", "100")),
-            c1=Fraction(values.get("c1", "1")),
-            big_c=Fraction(values.get("big_c", "2")),
-            epsilon=Fraction(values.get("epsilon", "1/10")),
-        )
-        return RunConfig(
-            bounds=cfg,
-            seed=int(values.get("seed", "0")),
-            sample_budget=int(values.get("sample_budget", "10000")),
-            search_budget=int(values.get("search_budget", "200")),
-        )
+        bounds = {k: Fraction(v) for k, v in values.items()
+                  if k in _BOUNDS_KEYS}
+        run = {k: int(v) for k, v in values.items() if k in _RUN_KEYS}
+        return RunConfig(bounds=BoundsConfig(**bounds), **run)
 
 
 def _jsonable(v):
@@ -168,7 +160,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 def _cmd_bounds(args, cfg: RunConfig) -> int:
     bcfg = cfg.bounds
     overrides = {}
-    for name in ("c", "c1", "big_c", "epsilon"):
+    for name in _BOUNDS_KEYS:
         val = getattr(args, name)
         if val is not None:
             overrides[name] = Fraction(val)

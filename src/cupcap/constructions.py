@@ -27,12 +27,14 @@ from typing import Optional, Sequence
 from .bounds import free_set_size_bound
 from .extremal import (longest_cap_size, longest_cup_size, max_collinear,
                        max_convex_subset)
-from .geom import Point, PointSet, convex_hull, cross_sign
+from .geom import Point, PointSet, convex_hull, cross_sign, int_coords
 
 _MAX_ADAPT_ATTEMPTS = 10_000
+# Largest set the generators will build; the same cap as enumerate_downsets.
+_MAX_POINTS = 10**6
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(ValueError):
     pass
 
 
@@ -89,24 +91,15 @@ class ConstructionCertificate:
 
 
 def normalize_integer_coords(ps: PointSet) -> PointSet:
-    """Equivalent set with small integer coordinates.
+    """Equivalent set with small integer coordinates (``geom.int_coords``);
+    certificates are unchanged."""
+    return PointSet(Point(Fraction(x), Fraction(y)) for x, y in int_coords(ps))
 
-    Per-axis: clear denominators, translate the minimum to zero, divide by
-    the content gcd.  Positive axis scalings and translations preserve all
-    orientation signs, so certificates are unchanged.
-    """
-    pts = ps.points
-    sx = math.lcm(*(p.x.denominator for p in pts))
-    sy = math.lcm(*(p.y.denominator for p in pts))
-    xs = [int(p.x * sx) for p in pts]
-    ys = [int(p.y * sy) for p in pts]
-    mx, my = min(xs), min(ys)
-    xs = [v - mx for v in xs]
-    ys = [v - my for v in ys]
-    gx = math.gcd(*xs) if any(xs) else 1
-    gy = math.gcd(*ys) if any(ys) else 1
-    return PointSet(Point(Fraction(x // max(gx, 1)), Fraction(y // max(gy, 1)))
-                    for x, y in zip(xs, ys))
+
+def _check_size(total) -> None:
+    if total > _MAX_POINTS:
+        raise ValueError(f"the set would have {total} points, over the cap "
+                         f"of {_MAX_POINTS}")
 
 
 def _extent(ps: PointSet) -> tuple[Fraction, Fraction]:
@@ -204,8 +197,7 @@ def build_base_capfree(l: int, n: int) -> PointSet:
 # recursive combiner
 
 
-def combine_flat(a: PointSet, b: PointSet,
-                 max_attempts: int = _MAX_ADAPT_ATTEMPTS) -> PointSet:
+def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     """Union of a and a flattened copy of b placed above and to its right.
 
     The returned placement is verified exactly: every line through two
@@ -216,7 +208,7 @@ def combine_flat(a: PointSet, b: PointSet,
     mirror for caps), and no collinear triple spans both parts.
 
     The vertical scale starts from an analytic slope-bound guess and is
-    halved until both checks pass; the loop is bounded by ``max_attempts``.
+    halved until both checks pass, at most ``_MAX_ADAPT_ATTEMPTS`` times.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("combine_flat needs non-empty parts")
@@ -232,7 +224,7 @@ def combine_flat(a: PointSet, b: PointSet,
     # want t * (h/delta) * x_max < 1 for both parts
     guess = delta / (2 * h_max * max(x_max, Fraction(1)))
     t = _pow2_at_most(min(guess, Fraction(1)))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ADAPT_ATTEMPTS):
         left = PointSet(Point(p.x, t * p.y) for p in a0)
         right = PointSet(Point(p.x + wa + 1, t * p.y + t * ha + 1) for p in b0)
         ok = (_hull_pairs_side(left.points, right.points, 1)
@@ -242,7 +234,8 @@ def combine_flat(a: PointSet, b: PointSet,
                 PointSet(list(left.points) + list(right.points)))
         t = t / 2
     raise ConstructionError(
-        f"flat placement did not verify within {max_attempts} attempts")
+        f"flat placement did not verify within {_MAX_ADAPT_ATTEMPTS} "
+        "attempts")
 
 
 def build_free_set(l: int, m: int, n: int) -> PointSet:
@@ -251,6 +244,7 @@ def build_free_set(l: int, m: int, n: int) -> PointSet:
     binomial(m+n-4, n-2)."""
     if min(l, m, n) < 3:
         raise ValueError("l, m, n must all be >= 3")
+    _check_size(free_set_size_bound(l, m, n))
     memo: dict[tuple[int, int], PointSet] = {}
 
     def rec(mm: int, nn: int) -> PointSet:
@@ -324,8 +318,7 @@ def _blocks_pairwise_ok(placed: Sequence[tuple[Point, ...]]) -> bool:
     return True
 
 
-def build_convex_free(l: int, n: int,
-                      max_attempts: int = _MAX_ADAPT_ATTEMPTS) -> PointSet:
+def build_convex_free(l: int, n: int) -> PointSet:
     """A set of exactly (3l-1)*2^(n-5) points with no l collinear members
     and no n points in convex position.
 
@@ -341,10 +334,11 @@ def build_convex_free(l: int, n: int,
         raise ValueError("l must be >= 3")
     if n < 6:
         raise ValueError("the arc assembly needs n >= 6")
+    target_total = (3 * l - 1) * 2 ** (n - 5)
+    _check_size(target_total)
     shapes = [(n, 3)] + [(n - 2 - i, 4 + i) for i in range(n - 5)] + [(3, n)]
     blocks = [build_free_set(l, mm, nn) for mm, nn in shapes]
     hs = [free_set_size_bound(l, mm, nn) for mm, nn in shapes]
-    target_total = (3 * l - 1) * 2 ** (n - 5)
     if sum(hs) != target_total:
         raise ConstructionError("block size bounds do not telescope to the "
                                 "target total")
@@ -361,7 +355,7 @@ def build_convex_free(l: int, n: int,
         b0 = _to_origin(blk)
         w, h = _extent(b0)
         norm.append((b0, max(w, Fraction(1)), max(h, Fraction(1))))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ADAPT_ATTEMPTS):
         placed = []
         for (b0, w, h), anchor in zip(norm, anchors):
             sx = size / w
@@ -376,7 +370,8 @@ def build_convex_free(l: int, n: int,
         size = size / 2
         flat = flat / 2
     raise ConstructionError(
-        f"arc placement did not verify within {max_attempts} attempts")
+        f"arc placement did not verify within {_MAX_ADAPT_ATTEMPTS} "
+        "attempts")
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def loads(text: str) -> PointSet:
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise EsptsParseError(1, f"missing {HEADER!r} header")
-    points = []
+    points: dict[Point, int] = {}
     for idx, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -61,13 +61,12 @@ def loads(text: str) -> PointSet:
         parts = line.split()
         if len(parts) != 2:
             raise EsptsParseError(idx, f"expected 'X Y', got {raw!r}")
-        x = _parse_token(parts[0], idx)
-        y = _parse_token(parts[1], idx)
-        points.append(Point(x, y))
-    try:
-        return PointSet(points)
-    except ValueError as exc:
-        raise EsptsParseError(0, str(exc)) from exc
+        p = Point(_parse_token(parts[0], idx), _parse_token(parts[1], idx))
+        if p in points:
+            raise EsptsParseError(
+                idx, f"duplicate point {p!r} (first on line {points[p]})")
+        points[p] = idx
+    return PointSet(points)
 
 
 def dumps(ps: PointSet) -> str:

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geom import Point, PointSet, cross_sign
+from .geom import Point, PointSet, cross_sign, int_coords, int_cross
 
 # Above this coordinate magnitude the int64 fast path could overflow; the
 # exact big-integer path is used instead.  Results are identical.
@@ -60,32 +60,6 @@ class StructureWitness:
 class PairLabel(NamedTuple):
     x_label: int  # length (edge count) of the longest cup ending at the pair
     y_label: int  # length of the longest cap ending at the pair
-
-
-# ---------------------------------------------------------------------------
-# integer coordinate normalization
-
-
-def _int_coords(pts: Sequence[Point]) -> list[tuple[int, int]]:
-    """Exact integer surrogate coordinates.
-
-    Clears denominators per axis and translates the minimum to zero;
-    positive axis scalings and translations preserve every orientation
-    sign, collinearity group, and x-order, so all chain/collinearity
-    structure is unchanged.
-    """
-    if not pts:
-        return []
-    sx = math.lcm(*(p.x.denominator for p in pts))
-    sy = math.lcm(*(p.y.denominator for p in pts))
-    xs = [int(p.x * sx) for p in pts]
-    ys = [int(p.y * sy) for p in pts]
-    mx, my = min(xs), min(ys)
-    xs = [v - mx for v in xs]
-    ys = [v - my for v in ys]
-    gx = math.gcd(*xs) if any(xs) else 1
-    gy = math.gcd(*ys) if any(ys) else 1
-    return [(x // max(gx, 1), y // max(gy, 1)) for x, y in zip(xs, ys)]
 
 
 def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
@@ -176,7 +150,7 @@ def _sorted_distinct_x(ps: PointSet) -> list[Point]:
 def _detection_tables(ps: PointSet):
     """(sorted points, int coords, cup table, cap table) for a point set."""
     pts = _sorted_distinct_x(ps)
-    coords = _int_coords(pts)
+    coords = int_coords(pts)
     X, Y = _label_tables(coords)
     return pts, coords, X, Y
 
@@ -185,25 +159,25 @@ def _detection_tables(ps: PointSet):
 # cup / cap predicates and witnesses
 
 
-def is_cup(points: Sequence[Point]) -> bool:
-    """True iff the points form a cup (any input order; at least 2 points)."""
+def _is_chain(points: Sequence[Point], sign: int) -> bool:
+    """True iff the points, in x-order, turn ``sign`` at every consecutive
+    triple (any input order; at least 2 points, distinct x)."""
     pts = sorted(points, key=lambda p: p.x)
     if len(pts) < 2:
         return False
     if any(a.x == b.x for a, b in zip(pts, pts[1:])):
         return False
-    return all(cross_sign(pts[i], pts[i + 1], pts[i + 2]) > 0
+    return all(cross_sign(pts[i], pts[i + 1], pts[i + 2]) == sign
                for i in range(len(pts) - 2))
+
+
+def is_cup(points: Sequence[Point]) -> bool:
+    """True iff the points form a cup (any input order; at least 2 points)."""
+    return _is_chain(points, 1)
 
 
 def is_cap(points: Sequence[Point]) -> bool:
-    pts = sorted(points, key=lambda p: p.x)
-    if len(pts) < 2:
-        return False
-    if any(a.x == b.x for a, b in zip(pts, pts[1:])):
-        return False
-    return all(cross_sign(pts[i], pts[i + 1], pts[i + 2]) < 0
-               for i in range(len(pts) - 2))
+    return _is_chain(points, -1)
 
 
 def is_collinear_run(points: Sequence[Point]) -> bool:
@@ -227,108 +201,81 @@ def _suffix_tables(ps: PointSet):
     return _label_tables(refl)
 
 
-def _start_tables(ps: PointSet):
-    _, coords, _, _ = _detection_tables(ps)
-    n = len(coords)
-    XR, YR = _suffix_tables(ps)
-
-    def r_cup(i, j):
-        return int(XR[n - 1 - j][n - 1 - i]) + 1
-
-    def r_cap(i, j):
-        return int(YR[n - 1 - j][n - 1 - i]) + 1
-
-    return r_cup, r_cap
-
-
-def _lexmin_chain(coords, start_points, turn_sign) -> list[int]:
+def _lexmin_chain(coords, reflected, sign: int) -> list[int]:
     """Lexicographically smallest maximum chain, by greedy extension.
 
-    ``start_points(i, j)`` gives the point count of the longest chain
-    beginning with the pair (i, j); the greedy minimizes each successive
-    index subject to completing a maximum chain.
+    ``reflected`` is the ``_suffix_tables`` table for the chain kind: the
+    longest chain beginning with the pair (i, j) has
+    ``reflected[n-1-j][n-1-i] + 1`` points.  The first pair is the first
+    of maximum count in lexicographic order; the greedy then minimizes each
+    successive index subject to completing a maximum chain.
     """
     n = len(coords)
-    best = 2
-    for i in range(n - 1):
+    last = n - 1
+    best, first = 2, (0, 1)
+    for i in range(last):
         for j in range(i + 1, n):
-            v = start_points(i, j)
-            if v > best:
-                best = v
-    first = None
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if start_points(i, j) == best:
-                first = (i, j)
-                break
-        if first:
-            break
-    assert first is not None
-    chain = [first[0], first[1]]
-    remaining = best - 2
-    while remaining:
+            count = reflected[last - j][last - i] + 1
+            if count > best:
+                best, first = int(count), (i, j)
+    chain = list(first)
+    for _ in range(best - 2):
         u, v = chain[-2], chain[-1]
-        pu, pv = coords[u], coords[v]
+        need = reflected[last - v][last - u] - 1
         for w in range(v + 1, n):
-            pw = coords[w]
-            s = (pv[0] - pu[0]) * (pw[1] - pu[1]) - (pv[1] - pu[1]) * (pw[0] - pu[0])
-            if (s > 0) if turn_sign > 0 else (s < 0):
-                if start_points(v, w) == start_points(u, v) - 1:
-                    chain.append(w)
-                    break
+            if (int_cross(coords[u], coords[v], coords[w]) * sign > 0
+                    and reflected[last - w][last - v] == need):
+                chain.append(w)
+                break
         else:  # pragma: no cover - table consistency guarantees extension
             raise AssertionError("chain extension failed")
-        remaining -= 1
     return chain
+
+
+def _longest_chain(ps: PointSet, kind: WitnessKind,
+                   sign: int) -> StructureWitness:
+    if len(ps) < 2:
+        raise ValueError(f"longest_{kind.value} needs at least 2 points")
+    pts, coords, _, _ = _detection_tables(ps)
+    reflected = _suffix_tables(ps)[0 if sign > 0 else 1]
+    chain = _lexmin_chain(coords, reflected, sign)
+    return StructureWitness(kind, PointSet(pts[i] for i in chain))
 
 
 def longest_cup(ps: PointSet) -> StructureWitness:
     """A maximum-cardinality cup; ties broken by the lexicographically
     smallest index sequence in x-order."""
-    if len(ps) < 2:
-        raise ValueError("longest_cup needs at least 2 points")
-    pts, coords, _, _ = _detection_tables(ps)
-    r_cup, _ = _start_tables(ps)
-    chain = _lexmin_chain(coords, r_cup, +1)
-    return StructureWitness(WitnessKind.CUP, PointSet(pts[i] for i in chain))
+    return _longest_chain(ps, WitnessKind.CUP, 1)
 
 
 def longest_cap(ps: PointSet) -> StructureWitness:
-    if len(ps) < 2:
-        raise ValueError("longest_cap needs at least 2 points")
-    pts, coords, _, _ = _detection_tables(ps)
-    _, r_cap = _start_tables(ps)
-    chain = _lexmin_chain(coords, r_cap, -1)
-    return StructureWitness(WitnessKind.CAP, PointSet(pts[i] for i in chain))
+    return _longest_chain(ps, WitnessKind.CAP, -1)
+
+
+def _max_label_pair(table, size: int):
+    """Largest label in a pair table and the first pair that holds it."""
+    best, where = 0, None
+    for i in range(size - 1):
+        row = table[i]
+        for j in range(i + 1, size):
+            if row[j] > best:
+                best, where = int(row[j]), (i, j)
+    return best, where
 
 
 def longest_cup_size(ps: PointSet) -> int:
     """Point count of the longest cup (no witness extraction)."""
-    pts, coords, X, _ = _detection_tables(ps)
-    n = len(pts)
-    if n < 2:
+    if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    best = 1
-    for i in range(n - 1):
-        row = X[i]
-        for j in range(i + 1, n):
-            if row[j] > best:
-                best = row[j]
-    return int(best) + 1
+    pts, _, X, _ = _detection_tables(ps)
+    return _max_label_pair(X, len(pts))[0] + 1
 
 
 def longest_cap_size(ps: PointSet) -> int:
-    pts, coords, _, Y = _detection_tables(ps)
-    n = len(pts)
-    if n < 2:
+    if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    best = 1
-    for i in range(n - 1):
-        row = Y[i]
-        for j in range(i + 1, n):
-            if row[j] > best:
-                best = row[j]
-    return int(best) + 1
+    pts, _, _, Y = _detection_tables(ps)
+    return _max_label_pair(Y, len(pts))[0] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +292,7 @@ def max_collinear(ps: PointSet) -> StructureWitness:
         raise ValueError("max_collinear needs at least 2 points")
     order = sorted(range(len(ps)), key=lambda i: (ps[i].x, ps[i].y))
     pts = [ps[i] for i in order]
-    coords = _int_coords(pts)
+    coords = int_coords(pts)
     n = len(pts)
     best: list[int] = [0, 1]
     for i in range(n - 1):
@@ -395,13 +342,8 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
         raise ValueError("max_convex_subset needs at least 3 points")
     order = sorted(range(len(ps)), key=lambda i: (ps[i].y, ps[i].x))
     pts = [ps[i] for i in order]
-    coords = _int_coords(pts)
+    coords = int_coords(pts)
     n = len(pts)
-
-    def sgn(a, b, c):
-        v = ((b[0] - a[0]) * (c[1] - a[1])) - ((b[1] - a[1]) * (c[0] - a[0]))
-        return (v > 0) - (v < 0)
-
     best_size = 2
     best_members = [pts[0], pts[1]]
 
@@ -431,12 +373,12 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
                 # close the polygon: the turn at v back toward the anchor
                 # must be strict (the turn at the anchor itself then is too,
                 # because chain angles are strictly increasing on [0, pi)).
-                if u >= 0 and sgn(pu, pv, b) > 0 and d > best_size:
+                if u >= 0 and int_cross(pu, pv, b) > 0 and d > best_size:
                     best_size = d
                     chain = _walk_parents(par, u, v)
                     best_members = [pts[ai]] + [pts[cand[i]] for i in chain]
                 for w in range(v + 1, c):
-                    if sgn(pu, pv, coords[cand[w]]) > 0 and dp[v + 1][w] < d + 1:
+                    if int_cross(pu, pv, coords[cand[w]]) > 0 and dp[v + 1][w] < d + 1:
                         dp[v + 1][w] = d + 1
                         par[v + 1][w] = u
     members = sorted(best_members, key=lambda p: (p.x, p.y))
@@ -567,28 +509,14 @@ def enumerate_downsets(a: int, b: int) -> list[DownSet]:
 # combined search
 
 
-def _max_label_pair(table, size: int):
-    best, where = 0, None
-    for i in range(size - 1):
-        row = table[i]
-        for j in range(i + 1, size):
-            if row[j] > best:
-                best, where = int(row[j]), (i, j)
-    return best, where
-
-
-def _chain_backward(coords, table, i: int, j: int, turn_sign: int) -> list[int]:
+def _chain_backward(coords, table, i: int, j: int, sign: int) -> list[int]:
     """A maximum chain ending at the pair (i, j), walked backward greedily
     through the ending-label table."""
     chain = [j, i]
     while table[i][j] > 1:
-        xi, yi = coords[i]
-        xj, yj = coords[j]
         for h in range(i):
-            xh, yh = coords[h]
-            s = (xi - xh) * (yj - yi) - (yi - yh) * (xj - xi)
-            good = s > 0 if turn_sign > 0 else s < 0
-            if good and table[h][i] == table[i][j] - 1:
+            if (int_cross(coords[h], coords[i], coords[j]) * sign > 0
+                    and table[h][i] == table[i][j] - 1):
                 chain.append(h)
                 i, j = h, i
                 break

@@ -1,7 +1,8 @@
 """Exact planar geometry kernel.
 
-Everything here runs on arbitrary-precision rationals (``fractions.Fraction``),
-so every predicate is a deterministic exact sign computation.  No floating
+Everything here runs on arbitrary-precision rationals (``fractions.Fraction``)
+or on the exact integer coordinates ``int_coords`` derives from them, so
+every predicate is a deterministic exact sign computation.  No floating
 point is used anywhere in this module.  All functions are pure and safe to
 call concurrently.
 
@@ -19,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -78,6 +80,34 @@ def cross_sign(p: Point, q: Point, r: Point) -> int:
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
     """Exact three-way turn classification of the ordered triple (p, q, r)."""
     return Orientation(cross_sign(p, q, r))
+
+
+def int_coords(pts: Sequence[Point]) -> list[tuple[int, int]]:
+    """Exact integer surrogate coordinates, in input order.
+
+    Per axis: clear denominators, translate the minimum to zero, divide by
+    the content gcd.  Positive axis scalings and translations preserve every
+    orientation sign, collinearity group and x-order.
+    """
+    if not pts:
+        return []
+    sx = math.lcm(*(p.x.denominator for p in pts))
+    sy = math.lcm(*(p.y.denominator for p in pts))
+    xs = [int(p.x * sx) for p in pts]
+    ys = [int(p.y * sy) for p in pts]
+    mx, my = min(xs), min(ys)
+    xs = [v - mx for v in xs]
+    ys = [v - my for v in ys]
+    gx = math.gcd(*xs) or 1
+    gy = math.gcd(*ys) or 1
+    return [(x // gx, y // gy) for x, y in zip(xs, ys)]
+
+
+def int_cross(a: tuple[int, int], b: tuple[int, int],
+              c: tuple[int, int]) -> int:
+    """The cross product (b - a) x (c - a) of integer coordinate pairs; its
+    sign is the turn of (a, b, c), as for ``cross_sign``."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 class PointSet(Sequence):
@@ -234,7 +264,11 @@ def point_in_convex_region(p: Point, halfplanes: Iterable[HalfPlane]) -> bool:
 
 def point_in_convex_hull(p: Point, points: Iterable[Point]) -> bool:
     """Closed containment: p in conv(points), boundary inclusive."""
-    hull = convex_hull(points)
+    return hull_contains(convex_hull(points), p)
+
+
+def hull_contains(hull: Sequence[Point], p: Point) -> bool:
+    """Closed containment of p in a hull built by ``convex_hull``."""
     if len(hull) == 1:
         return p == hull[0]
     if len(hull) == 2:

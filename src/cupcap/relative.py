@@ -32,8 +32,8 @@ import numpy as np
 
 from .extremal import StructureWitness, WitnessKind, is_cap, is_cup
 from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
-                   is_convex_position, point_in_convex_hull,
-                   point_in_convex_region)
+                   hull_contains, int_coords, is_convex_position,
+                   point_in_convex_hull, point_in_convex_region)
 
 
 class GeometryPreconditionError(ValueError):
@@ -253,11 +253,9 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
     pts = sorted(p, key=lambda q: q.x)
     if any(a.x == b.x for a, b in zip(pts, pts[1:])):
         raise ValueError("fat-cap search needs distinct x-coordinates")
-    from .extremal import _int_coords, _int64_safe
-    coords = _int_coords(pts)
+    coords = int_coords(pts)
     # halfplane coefficients stay below ~4*max|coord|^2, far from int64 overflow
-    use_np = _int64_safe(coords) and max(
-        max(abs(cx), abs(cy)) for cx, cy in coords) < (1 << 20)
+    use_np = max(max(abs(cx), abs(cy)) for cx, cy in coords) < (1 << 20)
     xs = np.array([c[0] for c in coords], dtype=np.int64) if use_np else None
     ys = np.array([c[1] for c in coords], dtype=np.int64) if use_np else None
 
@@ -547,9 +545,9 @@ def conv_order(p: PointSet, body: ConvexBody) -> PartialOrderInstance:
     n = len(pts)
     rel = set()
     for j in range(n):
-        hull_j = list(body.vertices) + [pts[j]]
+        hull_j = convex_hull([*body.vertices, pts[j]])
         for i in range(n):
-            if i != j and point_in_convex_hull(pts[i], hull_j):
+            if i != j and hull_contains(hull_j, pts[i]):
                 rel.add((i, j))
     for (i, j) in rel:
         if (j, i) in rel:

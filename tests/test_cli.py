@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cupcap import build_free_set
+from cupcap import BoundsConfig, ConstructionError, build_free_set
 from cupcap.cli import RunConfig, main
 from cupcap.espts import load_file
 
@@ -38,6 +38,24 @@ class TestGen:
 
     def test_gen_es_small_n_usage_error(self, tmp_path):
         assert run("gen-es", "3", "4", "--out", str(tmp_path / "z.pts")) == 2
+
+    def test_oversized_sets_rejected_at_once(self, tmp_path, capsys):
+        # about 7.6e15 and 2.7e11 points: refused before anything is built
+        out = tmp_path / "big.pts"
+        assert run("gen-x", "3", "30", "30", "--out", str(out)) == 2
+        assert run("gen-es", "3", "40", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "over the cap" in capsys.readouterr().err
+
+    def test_construction_error_exits_two(self, tmp_path, monkeypatch,
+                                          capsys):
+        def fail(l, m, n):
+            raise ConstructionError("flat placement did not verify")
+
+        monkeypatch.setattr("cupcap.cli.build_free_set", fail)
+        assert run("gen-x", "3", "5", "5", "--out",
+                   str(tmp_path / "x.pts")) == 2
+        assert "did not verify" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -170,6 +188,13 @@ class TestRunConfig:
         assert rc.bounds.epsilon.denominator == 20
         assert rc.seed == 7
         assert rc.sample_budget == 123
+
+    def test_comment_only_file_gives_defaults(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# nothing set\n\n")
+        rc = RunConfig.from_file(str(cfg))
+        assert rc == RunConfig()
+        assert rc.bounds == BoundsConfig()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -55,5 +55,6 @@ def test_negative_and_signed():
 
 
 def test_duplicate_points_rejected():
-    with pytest.raises(EsptsParseError):
+    with pytest.raises(EsptsParseError) as exc:
         loads("espts v1\n1 1\n1 1\n")
+    assert exc.value.line_no == 3

@@ -10,8 +10,8 @@ from cupcap import (DownSet, PairLabel, Point, PointSet, WitnessKind,
                     is_collinear_run, is_convex_position, longest_cap,
                     longest_cup, max_collinear, max_convex_subset,
                     pair_labels)
-from cupcap.extremal import (_int_coords, _label_tables_numpy,
-                             _label_tables_python)
+from cupcap.extremal import _label_tables_numpy, _label_tables_python
+from cupcap.geom import int_coords
 
 import oracles
 from conftest import random_general_position, random_point_set
@@ -33,6 +33,9 @@ class TestLongestCupCap:
     def test_collinear_gives_pair(self):
         assert len(longest_cup(COLLINEAR5)) == 2
         assert len(longest_cap(COLLINEAR5)) == 2
+        # every pair is a maximum chain; the lexmin witness is the first pair
+        assert longest_cup(COLLINEAR5).members == COLLINEAR5[:2]
+        assert longest_cap(COLLINEAR5).members == COLLINEAR5[:2]
 
     def test_cap_mirror(self):
         w = longest_cap(PointSet.of([(i, -i * i) for i in range(5)]))
@@ -74,7 +77,7 @@ class TestLongestCupCap:
         rng = random.Random(3)
         for _ in range(10):
             ps = random_point_set(rng, 30, span=100)
-            coords = _int_coords(sorted(ps, key=lambda p: p.x))
+            coords = int_coords(sorted(ps, key=lambda p: p.x))
             Xp, Yp = _label_tables_python(coords)
             Xn, Yn = _label_tables_numpy(coords)
             n = len(coords)

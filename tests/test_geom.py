@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cupcap import (HalfPlane, Orientation, Point, PointSet, convex_hull,
                     is_convex_position, orientation, point_in_convex_hull,
                     point_in_convex_region, shear_distinct_x)
+from cupcap.geom import cross_sign, int_cross
 
 from conftest import random_point_set
 
@@ -18,6 +19,8 @@ def pt(x, y):
 
 small_coord = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 points = st.builds(Point, small_coord, small_coord)
+big_int = st.integers(min_value=-2**100, max_value=2**100)
+int_pairs = st.tuples(big_int, big_int)
 
 
 class TestOrientation:
@@ -51,6 +54,16 @@ class TestOrientation:
     def test_deterministic(self):
         args = (pt("1/3", 2), pt(5, "7/9"), pt(-2, "4/7"))
         assert len({orientation(*args) for _ in range(10)}) == 1
+
+    @given(int_pairs, int_pairs, int_pairs, st.integers(-2**20, 2**20))
+    def test_int_cross_sign_matches_cross_sign(self, a, b, c, t):
+        # (a, b, c) is a generic triple; (a, b, on_line) is collinear
+        on_line = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        for r in (c, on_line):
+            v = int_cross(a, b, r)
+            sign = (v > 0) - (v < 0)
+            assert sign == cross_sign(Point.of(*a), Point.of(*b), Point.of(*r))
+        assert int_cross(a, b, on_line) == 0
 
 
 class TestShear:
