@@ -12,14 +12,19 @@ Usage: python scripts/threshold_experiment.py [--m 5] [--n 5] [--trials 200]
 import argparse
 import math
 import random
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from cupcap import PointSet, build_free_set, find_structure, max_collinear
 
-from conftest import random_general_position
 
-from cupcap import build_free_set, find_structure
+def random_general_position(rng: random.Random, n: int,
+                            span: int = 1 << 20) -> PointSet:
+    """Seeded random set with distinct x-coordinates and no three members
+    collinear: the set is drawn again until ``max_collinear`` finds none."""
+    while True:
+        xs = rng.sample(range(span), n)
+        ps = PointSet.of([(x, rng.randrange(span)) for x in xs])
+        if len(max_collinear(ps)) < 3:
+            return ps
 
 
 def main():

@@ -12,6 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Largest maxmn bound_table accepts: (maxmn - 2)**2 cup/cap rows, about
+# 11.5 MB of JSON at the cap.
+_MAX_MAXMN = 200
+
 
 def comb0(n: int, k: int) -> int:
     """Binomial coefficient with the zero convention outside 0 <= k <= n."""
@@ -108,6 +112,8 @@ def bound_table(l: int, maxmn: int,
     """
     if l < 3 or maxmn < 3:
         raise ValueError("l and maxmn must be >= 3")
+    if maxmn > _MAX_MAXMN:
+        raise ValueError(f"maxmn {maxmn} is over the cap of {_MAX_MAXMN}")
     cup_cap = []
     for m in range(3, maxmn + 1):
         for n in range(3, maxmn + 1):

@@ -75,9 +75,8 @@ def _points_json(ps) -> list:
 
 def _parse_claim(text: str) -> tuple:
     kind, _, rest = text.partition(":")
-    parts = [p for p in rest.split(",") if p]
     try:
-        nums = [int(p) for p in parts]
+        nums = [int(p) for p in rest.split(",")]
     except ValueError:
         raise ValueError(f"malformed claim {text!r}") from None
     if kind == "x" and len(nums) == 3:
@@ -114,6 +113,10 @@ def _cmd_gen_es(args, cfg: RunConfig) -> int:
 
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
+    missing = [f"--{k}" for k in ("l", "m", "n") if getattr(args, k) is None]
+    if 0 < len(missing) < 3:
+        raise ValueError("the structure search needs --l, --m and --n; "
+                         f"missing {', '.join(missing)}")
     ps = espts.load_file(args.infile)
     sheared = shear_distinct_x(ps)
     cup = longest_cup(sheared) if len(ps) >= 2 else None
@@ -134,7 +137,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             "max_convex_subset": _points_json(convex.members) if convex else [],
         },
     }
-    if args.l is not None and args.m is not None and args.n is not None:
+    if not missing:
         found = find_structure(sheared, args.l, args.m, args.n)
         report["structure"] = (
             None if found is None else

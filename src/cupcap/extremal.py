@@ -330,58 +330,127 @@ def _angular_key(dx: Fraction, dy: Fraction):
     return (3, Fraction(dy, dx), d2)
 
 
+def _edges_by_angle(coords: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every directed edge (u, v), sorted by the exact angle of
+    ``coords[v] - coords[u]`` in [0, 2*pi).
+
+    ``coords`` must be in (y, x) order, so u -> v points into the upper half
+    [0, pi) exactly when u < v, and v -> u is the same direction turned by
+    pi.  Within a half, horizontal edges come first, then the angle grows
+    with the slope -dx/dy.  ``floor(scale * -dx / dy)`` is an exact integer
+    key for it: two different slopes whose denominators are below
+    ``2**bits`` differ by at least ``1 / scale``, so their keys differ too,
+    in the same order.
+
+    Parallel edges chain only along a common line.  Among edges of one
+    direction, the one whose source lies furthest along that direction
+    (the largest index in the upper half, the smallest in the lower) comes
+    first, so no edge reads a value its own direction has already written.
+    """
+    n = len(coords)
+    bits = max(abs(c) for xy in coords for c in xy).bit_length() + 1
+    scale = 1 << (2 * bits)
+    keyed = []
+    for i in range(n):
+        xi, yi = coords[i]
+        for j in range(i + 1, n):
+            dx, dy = coords[j][0] - xi, coords[j][1] - yi
+            slant = dy != 0
+            slope = -dx * scale // dy if slant else 0
+            keyed.append((slant, slope, -i, i, j))
+            keyed.append((2 + slant, slope, j, j, i))
+    keyed.sort()
+    return [(e[3], e[4]) for e in keyed]
+
+
+def _anchor_polygon(coords: Sequence[tuple[int, int]], ai: int,
+                    size: int) -> list[int]:
+    """A ``size``-gon in strict convex position whose (y, x)-lowest vertex
+    is ``ai`` (its other vertices, by index into ``coords``).
+
+    A chain DP over the later points in angular order around the anchor b;
+    every consecutive turn, the closing turn, and the turn at b itself are
+    strict.  The polygon returned is the first, in the DP's loop order,
+    whose chain holds ``size`` vertices.
+    """
+    b = coords[ai]
+    cand = sorted(
+        range(ai + 1, len(coords)),
+        key=lambda i: _angular_key(Fraction(coords[i][0] - b[0]),
+                                   Fraction(coords[i][1] - b[1])),
+    )
+    c = len(cand)
+    # dp[u + 1][v]: vertices of the best chain anchor -> ... -> u -> v,
+    # u == -1 standing for the anchor itself.  dp[u + 1][v] and par are
+    # final once the outer loop reaches v.
+    dp = [[0] * c for _ in range(c + 1)]
+    par = [[-2] * c for _ in range(c + 1)]
+    for v in range(c):
+        dp[0][v] = 2
+    for v in range(c):
+        pv = coords[cand[v]]
+        for u in range(-1, v):
+            d = dp[u + 1][v]
+            if d == 0:
+                continue
+            pu = b if u == -1 else coords[cand[u]]
+            # close the polygon: the turn at v back toward the anchor must
+            # be strict (the turn at the anchor itself then is too, because
+            # chain angles are strictly increasing on [0, pi)).
+            if u >= 0 and d == size and int_cross(pu, pv, b) > 0:
+                return [cand[i] for i in _walk_parents(par, u, v)]
+            for w in range(v + 1, c):
+                if int_cross(pu, pv, coords[cand[w]]) > 0 and dp[v + 1][w] < d + 1:
+                    dp[v + 1][w] = d + 1
+                    par[v + 1][w] = u
+    raise AssertionError(f"no {size}-gon at anchor {ai}")  # pragma: no cover
+
+
 def max_convex_subset(ps: PointSet) -> StructureWitness:
     """An exact maximum-cardinality subset in strict convex position.
 
-    For each anchor b (the (y, x)-lexicographic minimum of the subset) a
-    chain DP runs over the remaining candidates in angular order around b;
-    every consecutive turn, the closing turn, and the turn at b itself are
-    strict, so no three chosen points are ever collinear.
+    Sizes come from one angular edge sweep per anchor a, the (y, x)-lowest
+    vertex of the polygon, O(n^3) in all (Chvatal & Klincsek, 1980).  A
+    polygon traversed counterclockwise from its lowest vertex has strictly
+    increasing edge angles in [0, 2*pi), and a closed chain of such edges
+    is a polygon in strict convex position.  So, with L[v] the most
+    vertices on a chain a -> ... -> v of increasing edge angles, each edge
+    u -> v in angle order either extends a chain to v or, when v == a,
+    closes a polygon of L[u] vertices.  The witness is ``_anchor_polygon`` on the first anchor that
+    reaches the maximum.
     """
     if len(ps) < 3:
         raise ValueError("max_convex_subset needs at least 3 points")
-    order = sorted(range(len(ps)), key=lambda i: (ps[i].y, ps[i].x))
-    pts = [ps[i] for i in order]
+    pts = sorted(ps, key=lambda p: (p.y, p.x))
     coords = int_coords(pts)
     n = len(pts)
-    best_size = 2
-    best_members = [pts[0], pts[1]]
-
-    for ai in range(n - 2):
-        b = coords[ai]
-        cand = sorted(
-            range(ai + 1, n),
-            key=lambda i: _angular_key(Fraction(coords[i][0] - b[0]),
-                                       Fraction(coords[i][1] - b[1])),
-        )
-        c = len(cand)
-        if c + 1 <= best_size:
-            continue
-        # dp[u + 1][v]: vertices of the best chain anchor -> ... -> u -> v,
-        # u == -1 standing for the anchor itself.
-        dp = [[0] * c for _ in range(c + 1)]
-        par = [[-2] * c for _ in range(c + 1)]
-        for v in range(c):
-            dp[0][v] = 2
-        for v in range(c):
-            pv = coords[cand[v]]
-            for u in range(-1, v):
-                d = dp[u + 1][v]
-                if d == 0:
-                    continue
-                pu = b if u == -1 else coords[cand[u]]
-                # close the polygon: the turn at v back toward the anchor
-                # must be strict (the turn at the anchor itself then is too,
-                # because chain angles are strictly increasing on [0, pi)).
-                if u >= 0 and int_cross(pu, pv, b) > 0 and d > best_size:
-                    best_size = d
-                    chain = _walk_parents(par, u, v)
-                    best_members = [pts[ai]] + [pts[cand[i]] for i in chain]
-                for w in range(v + 1, c):
-                    if int_cross(pu, pv, coords[cand[w]]) > 0 and dp[v + 1][w] < d + 1:
-                        dp[v + 1][w] = d + 1
-                        par[v + 1][w] = u
-    members = sorted(best_members, key=lambda p: (p.x, p.y))
+    best_size, best_anchor = 2, None
+    edges = _edges_by_angle(coords)
+    for a in range(n - 2):
+        if n - a <= best_size:
+            break
+        L = [0] * n
+        L[a] = 1
+        size = best_size
+        for u, v in edges:
+            lu = L[u]
+            if not lu:
+                continue
+            if v == a:
+                if lu > size:
+                    size = lu
+            elif lu >= L[v]:
+                L[v] = lu + 1
+        if size > best_size:
+            best_size, best_anchor = size, a
+        # later anchors use only the points after a
+        edges = [(u, v) for u, v in edges if u != a and v != a]
+    if best_anchor is None:
+        members = [pts[0], pts[1]]
+    else:
+        polygon = _anchor_polygon(coords, best_anchor, best_size)
+        members = [pts[best_anchor]] + [pts[i] for i in polygon]
+    members.sort(key=lambda p: (p.x, p.y))
     return StructureWitness(WitnessKind.CONVEX_SUBSET, PointSet(members))
 
 

@@ -34,7 +34,8 @@ def random_general_position(rng: random.Random, n: int,
     """Seeded random set: distinct x, no three members collinear.
 
     A new point is rejected when any reduced direction to an existing
-    point repeats (which would witness a collinear triple through it).
+    point repeats up to sign (which would witness a collinear triple
+    through it, also when it lies between the two).
     """
     pts: list[tuple[int, int]] = []
     xs: set[int] = set()
@@ -46,7 +47,9 @@ def random_general_position(rng: random.Random, n: int,
         ok = True
         for px, py in pts:
             dx, dy = x - px, y - py
-            g = math.gcd(abs(dx), abs(dy))
+            if dx < 0:  # dx != 0: x-coordinates are distinct
+                dx, dy = -dx, -dy
+            g = math.gcd(dx, dy)
             d = (dx // g, dy // g)
             if d in dirs:
                 ok = False

@@ -85,6 +85,9 @@ class TestVerify:
         out = tmp_path / "x.pts"
         run("gen-x", "3", "4", "4", "--out", str(out))
         assert run("verify", "--in", str(out), "--claim", "x:1") == 2
+        # empty fields are malformed, not dropped
+        assert run("verify", "--in", str(out), "--claim", "x:3,,8,8") == 2
+        assert run("verify", "--in", str(out), "--claim", "es:3,8,") == 2
 
 
 class TestAnalyze:
@@ -109,6 +112,14 @@ class TestAnalyze:
                    str(tmp_path / "r.json")) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_partial_thresholds_exit_two(self, tmp_path, capsys):
+        out, rep = tmp_path / "x.pts", tmp_path / "r.json"
+        run("gen-x", "3", "4", "4", "--out", str(out))
+        assert run("analyze", "--in", str(out), "--report", str(rep),
+                   "--l", "3", "--n", "4") == 2
+        assert not rep.exists()
+        assert "missing --m" in capsys.readouterr().err
+
     def test_handles_duplicate_x_by_shearing(self, tmp_path):
         f = tmp_path / "v.pts"
         f.write_text("espts v1\n0 0\n0 1\n1 0\n2 5\n")
@@ -127,6 +138,13 @@ class TestBounds:
         assert row["general_position_threshold"] == 7
         conv = {r["n"]: r["lower"] for r in payload["convex"]}
         assert conv[6] == 17  # 2^(n-2) + 1 at l = 3
+
+    def test_oversized_table_rejected_at_once(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert run("bounds", "--l", "3", "--maxmn", "100000", "--out",
+                   str(out)) == 2
+        assert not out.exists()
+        assert "over the cap" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "b.json"

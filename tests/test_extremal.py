@@ -5,11 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cupcap import (DownSet, PairLabel, Point, PointSet, WitnessKind,
-                    count_downsets, downset_of, downsets_by_point,
-                    enumerate_downsets, find_structure, is_cap, is_cup,
-                    is_collinear_run, is_convex_position, longest_cap,
-                    longest_cup, max_collinear, max_convex_subset,
-                    pair_labels)
+                    build_convex_free, count_downsets, downset_of,
+                    downsets_by_point, enumerate_downsets, find_structure,
+                    is_cap, is_cup, is_collinear_run, is_convex_position,
+                    longest_cap, longest_cup, max_collinear,
+                    max_convex_subset, pair_labels)
 from cupcap.extremal import _label_tables_numpy, _label_tables_python
 from cupcap.geom import int_coords
 
@@ -109,6 +109,13 @@ class TestMaxCollinear:
             assert len(max_collinear(ps)) == \
                 oracles.brute_max_collinear(list(ps))
 
+    def test_general_position_sets_have_no_collinear_triple(self):
+        # a small span makes a point between two others a likely draw
+        rng = random.Random(5)
+        for _ in range(40):
+            ps = random_general_position(rng, 6, span=10)
+            assert len(max_collinear(ps)) == 2
+
 
 class TestMaxConvexSubset:
     def test_grid_is_six(self):
@@ -131,12 +138,38 @@ class TestMaxConvexSubset:
 
     def test_oracle_equivalence(self):
         rng = random.Random(31)
-        for _ in range(25):
-            ps = random_point_set(rng, rng.randrange(4, 11), span=12,
-                                  distinct_x=False)
+        cases = [random_point_set(rng, rng.randrange(4, 11), span=12,
+                                  distinct_x=False) for _ in range(25)]
+        # dense grids: runs of parallel edges and collinear triples
+        for _ in range(20):
+            span = rng.randrange(3, 6)
+            cases.append(random_point_set(
+                rng, rng.randrange(4, min(span * span, 11) + 1), span=span,
+                distinct_x=False))
+        # the same kind of sets with coordinates of about 2**90
+        for _ in range(15):
+            base = random_point_set(rng, rng.randrange(4, 11),
+                                    span=rng.choice([4, 12]),
+                                    distinct_x=False)
+            s, t = rng.randrange(1 << 89, 1 << 90), rng.randrange(1 << 90)
+            cases.append(PointSet.of([(p.x * s + t, p.y * s - t)
+                                      for p in base]))
+        for ps in cases:
             got = max_convex_subset(ps)
             assert is_convex_position(got.members)
             assert len(got) == oracles.brute_max_convex_subset(list(ps))
+
+    def test_witness_members_pinned(self):
+        # the witnesses of the anchor DP before the edge sweep took over
+        # the sizes: the tie-break must not move
+        grid = PointSet.of([(x, y) for x in range(3) for y in range(3)])
+        assert max_convex_subset(grid).members == PointSet.of(
+            [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)])
+        w = max_convex_subset(build_convex_free(3, 7))
+        assert w.members == PointSet.of([
+            (1179235932, 4505875046400), (1193950996, 4510182355848),
+            (1199469145, 4510253566247), (1208666060, 4510256456706),
+            (1422975480, 1043192930), (1428230860, 0)])
 
 
 class TestPairLabels:
