@@ -110,6 +110,18 @@ def int_cross(a: tuple[int, int], b: tuple[int, int],
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
+def slope_scale(coords: Sequence[tuple[int, int]]) -> int:
+    """The scale of the exact integer slope key ``num * scale // den``, for
+    differences ``num``, ``den > 0`` of coordinates in ``coords``.
+
+    ``scale = 2**(2*bits)`` with every difference below ``2**bits``.  Two
+    different slopes a/b and c/d then differ by at least 1/(b*d) > 1/scale,
+    so their keys differ too, in the same order; equal slopes get equal keys.
+    """
+    top = max((abs(c) for xy in coords for c in xy), default=0)
+    return 1 << (2 * (top.bit_length() + 1))
+
+
 class PointSet(Sequence):
     """An ordered sequence of distinct points.
 

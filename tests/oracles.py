@@ -88,8 +88,49 @@ def brute_max_collinear(pts) -> int:
     return best
 
 
+def _levelwise_max(n: int, predicate) -> int:
+    """Size of the largest index subset of range(n) that satisfies a
+    hereditary predicate (at least 1), exhaustively.
+
+    When every subset of a passing set passes, every passing (s+1)-subset,
+    in index order, extends a passing s-prefix, so growing the passing
+    sets by one higher index at a time reaches every passing subset.  Each
+    candidate is checked whole with the predicate, never piece by piece.
+    """
+    best = 1
+    level = [(i,) for i in range(n) if predicate((i,))]
+    while level:
+        best = max(best, len(level[0]))
+        level = [sub + (j,) for sub in level for j in range(sub[-1] + 1, n)
+                 if predicate(sub + (j,))]
+    return best
+
+
 def brute_max_convex_subset(pts) -> int:
-    return _max_subset(pts, convex_position)
+    """Largest subset in convex position, by level-wise search.
+
+    Convex position is hereditary: deleting points keeps the others outside
+    every triangle and segment of the rest.  The predicate is
+    ``convex_position`` with its geometry computed once: the bitmask of the
+    points in each closed triangle and on each closed segment.
+    """
+    pts = list(pts)
+    n = len(pts)
+
+    def inside(span, test):
+        return sum(1 << i for i in range(n)
+                   if i not in span and test(pts[i], *(pts[k] for k in span)))
+
+    tri = {t: inside(t, _in_closed_triangle)
+           for t in combinations(range(n), 3)}
+    seg = {s: inside(s, _on_segment) for s in combinations(range(n), 2)}
+
+    def convex(sub):
+        mask = sum(1 << i for i in sub)
+        return (not any(tri[t] & mask for t in combinations(sub, 3))
+                and not any(seg[s] & mask for s in combinations(sub, 2)))
+
+    return _levelwise_max(n, convex)
 
 
 def brute_pair_label(pts, p, q):
@@ -207,18 +248,8 @@ def brute_largest_relative(pts, body_vertices, predicate) -> int:
 
     Both relative predicates are hereditary: each compares one point with
     hulls of the other points (and of the body), and deleting points only
-    shrinks those hulls.  So every passing (s+1)-subset, in index order,
-    extends a passing s-prefix, and growing the passing sets by one higher
-    index at a time reaches every passing subset.  Each candidate is checked
-    whole with the predicate, never triple by triple.
+    shrinks those hulls.
     """
     pts = list(pts)
-    best = 1
-    level = [(i,) for i in range(len(pts))
-             if predicate([pts[i]], body_vertices)]
-    while level:
-        best = max(best, len(level[0]))
-        level = [sub + (j,) for sub in level
-                 for j in range(sub[-1] + 1, len(pts))
-                 if predicate([pts[i] for i in sub + (j,)], body_vertices)]
-    return best
+    return _levelwise_max(len(pts), lambda sub: predicate(
+        [pts[i] for i in sub], body_vertices))

@@ -73,6 +73,20 @@ class TestLongestCupCap:
             assert len(longest_cup(ps)) == oracles.brute_longest_cup(list(ps))
             assert len(longest_cap(ps)) == oracles.brute_longest_cap(list(ps))
 
+    def test_big_integer_tables_match_numpy(self):
+        # positive axis scalings and translations keep every turn, so the
+        # pure-Python tables on ~2**90 coordinates equal the int64 tables
+        rng = random.Random(13)
+        for _ in range(4):
+            ps = random_point_set(rng, 30)
+            coords = int_coords(sorted(ps, key=lambda p: p.x))
+            sx, sy = (rng.randrange(1 << 69, 1 << 70) for _ in "xy")
+            tx, ty = (rng.randrange(-(1 << 90), 1 << 90) for _ in "xy")
+            big = [(x * sx + tx, y * sy + ty) for x, y in coords]
+            Xb, Yb = _label_tables_python(big)
+            Xn, Yn = _label_tables_numpy(coords)
+            assert Xb == Xn.tolist() and Yb == Yn.tolist()
+
     def test_numpy_and_python_tables_agree(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -154,10 +168,25 @@ class TestMaxConvexSubset:
             s, t = rng.randrange(1 << 89, 1 << 90), rng.randrange(1 << 90)
             cases.append(PointSet.of([(p.x * s + t, p.y * s - t)
                                       for p in base]))
+        # larger dense grids, within reach of the level-wise oracle
+        for _ in range(12):
+            cases.append(random_point_set(rng, rng.randrange(12, 15),
+                                          span=rng.choice([4, 5]),
+                                          distinct_x=False))
         for ps in cases:
             got = max_convex_subset(ps)
             assert is_convex_position(got.members)
             assert len(got) == oracles.brute_max_convex_subset(list(ps))
+
+    def test_levelwise_oracle_matches_plain_enumeration(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            span = rng.choice([3, 4, 5, 12])
+            pts = list(random_point_set(
+                rng, rng.randrange(3, min(span * span, 9) + 1), span=span,
+                distinct_x=False))
+            assert oracles.brute_max_convex_subset(pts) == \
+                oracles._max_subset(pts, oracles.convex_position)
 
     def test_witness_members_pinned(self):
         # the witnesses of the anchor DP before the edge sweep took over
@@ -241,6 +270,14 @@ class TestDownSets:
         ps = PointSet.of([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
             downset_of(ps, pt(9, 9), 2, 2)
+
+    def test_empty_and_single_point_sets(self):
+        p = pt(3, 4)
+        for ps in (PointSet([]), PointSet([p])):
+            assert pair_labels(ps) == {}
+        assert downsets_by_point(PointSet([]), 2, 2) == {}
+        assert downsets_by_point(PointSet([p]), 2, 2) == {
+            p: DownSet.empty(2, 2)}
 
     def test_bulk_matches_single(self):
         rng = random.Random(9)

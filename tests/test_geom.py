@@ -1,14 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cupcap import (HalfPlane, Orientation, Point, PointSet, convex_hull,
                     is_convex_position, orientation, point_in_convex_hull,
                     point_in_convex_region, shear_distinct_x)
-from cupcap.geom import cross_sign, int_cross
+from cupcap.geom import cross_sign, int_cross, slope_scale
 
 from conftest import random_point_set
 
@@ -64,6 +65,28 @@ class TestOrientation:
             sign = (v > 0) - (v < 0)
             assert sign == cross_sign(Point.of(*a), Point.of(*b), Point.of(*r))
         assert int_cross(a, b, on_line) == 0
+
+
+class TestSlopeKey:
+    @given(int_pairs, st.integers(1, 2**99), st.integers(1, 2**99),
+           st.sampled_from([1, -1]), int_pairs)
+    def test_key_orders_slopes_as_fractions(self, o, b, d, sign, r):
+        # from o: Farey neighbours a/b < c/d (c*b - a*d == 1), the closest
+        # two different slopes with these denominators can be; the slope
+        # a/b again through a point twice as far; and a generic slope.
+        # Coordinates are near 2**100.
+        assume(math.gcd(b, d) == 1)
+        a = -pow(d, -1, b) % b
+        c = (1 + a * d) // b
+        ends = [(o[0] + b, o[1] + sign * a), (o[0] + d, o[1] + sign * c),
+                (o[0] + 2 * b, o[1] + 2 * sign * a), r]
+        ends = [p for p in ends if p[0] > o[0]]
+        scale = slope_scale([o] + ends)
+        keys = [(y - o[1]) * scale // (x - o[0]) for x, y in ends]
+        slopes = [Fraction(y - o[1], x - o[0]) for x, y in ends]
+        for ka, sa in zip(keys, slopes):
+            for kb, sb in zip(keys, slopes):
+                assert (ka < kb) == (sa < sb) and (ka == kb) == (sa == sb)
 
 
 class TestShear:
