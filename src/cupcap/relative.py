@@ -13,8 +13,8 @@ every non-collinear triple is exactly one of:
 * an outer-cup: each member together with K is strictly separable from the
   other two.
 
-All predicates are exact; randomized search (fat caps, transversal
-sampling) is deterministic given its seed.
+All predicates are exact (the chain DP reads them off integer turn signs,
+see ``_relative_chain_dp``); randomized search is deterministic.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .extremal import StructureWitness, WitnessKind, is_cap, is_cup
 from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
-                   hull_contains, int_coords, is_convex_position,
+                   hull_contains, int_coords, int_cross, is_convex_position,
                    point_in_convex_hull, point_in_convex_region)
 
 
@@ -350,11 +349,19 @@ def transversal_check(p: PointSet, x: PointSet, sample_budget: int,
 # radial order and triple classification
 
 
+def _line_misses(a: tuple[int, int], b: tuple[int, int],
+                 body: Sequence[tuple[int, int]]) -> bool:
+    """Whether all body vertices lie strictly on one side of line ab."""
+    side = int_cross(a, b, body[0])
+    return all(int_cross(a, b, v) * side > 0 for v in body)
+
+
 def _check_avoidance(pts: Sequence[Point], body: ConvexBody) -> None:
+    c = int_coords([*pts, *body.vertices])
+    verts = c[len(pts):]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            signs = {cross_sign(pts[i], pts[j], v) for v in body.vertices}
-            if 0 in signs or len(signs) != 1:
+            if not _line_misses(c[i], c[j], verts):
                 raise AvoidanceError(
                     f"line through {pts[i]!r} and {pts[j]!r} meets the body",
                     (pts[i], pts[j]))
@@ -367,19 +374,12 @@ def radial_order(p: PointSet, body: ConvexBody) -> list[Point]:
     avoids the body; both preconditions are checked exactly, with a witness
     on failure.  For a single-point body this is angular order.
     """
-    pts = list(p)
-    if len(pts) <= 1:
-        if pts and not hulls_strictly_disjoint(pts, body.vertices):
-            raise SeparationError("point set is not separated from the body")
-        return pts
-    if not hulls_strictly_disjoint(pts, body.vertices):
-        raise SeparationError("no line separates the body from conv(P)")
-    _check_avoidance(pts, body)
+    order = _relaxed_radial_order(p, body)
+    _check_avoidance(list(p), body)
     ref = body.vertices[0]
     # avoidance puts the whole body strictly on one side of each pair line,
     # so one vertex decides the side; p precedes q when the body lies to
     # the right of the directed line p -> q.
-    order = sorted(pts, key=cmp_to_key(lambda a, b: cross_sign(a, b, ref)))
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
             if cross_sign(order[i], order[j], ref) != -1:
@@ -395,40 +395,23 @@ class TripleKind(Enum):
     COLLINEAR = "collinear"
 
 
-def _classify_or_none(body: ConvexBody, p: Point, q: Point,
-                      r: Point) -> Optional[TripleKind]:
-    if cross_sign(p, q, r) == 0:
-        return TripleKind.COLLINEAR
-    trio = (p, q, r)
-    inner = all(
-        not point_in_convex_hull(x, [y for y in trio if y is not x]
-                                 + list(body.vertices))
-        for x in trio)
-    if inner:
-        return TripleKind.INNER_CAP
-    outer = all(
-        hulls_strictly_disjoint([x, *body.vertices],
-                                [y for y in trio if y is not x])
-        for x in trio)
-    if outer:
-        return TripleKind.OUTER_CUP
-    return None
-
-
 def classify_triple(body: ConvexBody, p: Point, q: Point,
                     r: Point) -> TripleKind:
     """Exactly one of inner-cap / outer-cup / collinear for a valid triple."""
-    kind = _classify_or_none(body, p, q, r)
-    if kind is None:
-        raise GeometryPreconditionError(
-            f"triple {(p, q, r)!r} is neither an inner-cap nor an outer-cup; "
-            "separation/avoidance preconditions are violated")
-    return kind
-
-
-def _pair_mutually_separable(p: Point, q: Point, body: ConvexBody) -> bool:
-    return (not point_in_convex_hull(p, [q, *body.vertices])
-            and not point_in_convex_hull(q, [p, *body.vertices]))
+    if cross_sign(p, q, r) == 0:
+        return TripleKind.COLLINEAR
+    trio = (p, q, r)
+    if all(not point_in_convex_hull(x, [y for y in trio if y is not x]
+                                    + list(body.vertices))
+           for x in trio):
+        return TripleKind.INNER_CAP
+    if all(hulls_strictly_disjoint([x, *body.vertices],
+                                   [y for y in trio if y is not x])
+           for x in trio):
+        return TripleKind.OUTER_CUP
+    raise GeometryPreconditionError(
+        f"triple {(p, q, r)!r} is neither an inner-cap nor an outer-cup; "
+        "separation/avoidance preconditions are violated")
 
 
 def _relaxed_radial_order(p: PointSet, body: ConvexBody) -> list[Point]:
@@ -442,7 +425,7 @@ def _relaxed_radial_order(p: PointSet, body: ConvexBody) -> list[Point]:
     from the separating direction, measured around a body vertex.
     """
     pts = list(p)
-    if len(pts) <= 1:
+    if not pts:
         return pts
     axis = separating_axis(pts, body.vertices)
     if axis is None:
@@ -465,19 +448,37 @@ def _relative_chain_dp(p: PointSet, body: ConvexBody, want: TripleKind,
                        relaxed: bool = False) -> list[Point]:
     """Longest chain in radial order whose pairs are mutually separable and
     whose consecutive triples classify as ``want`` (optionally restricted
-    to pairs passing ``pair_ok``).  Mirrors the cup/cap pair DP; validity
-    for non-consecutive triples follows from the radial closure property
-    and is cross-checked against brute force in the test suite."""
+    to pairs passing ``pair_ok``), by the cup/cap pair DP.
+
+    Both predicates are integer turn signs, exact because a line strictly
+    separates P from the body K (both orders check it).  (i) A pair is
+    mutually separable iff its line misses K: if it misses, conv(K + q)
+    meets it only in q; if it meets K, it does so outside the segment pq
+    (which lies in conv P), so one point lies between the other and K.
+    (ii) Let a, b, c come in radial order, lines ab and bc missing K, so
+    K lies strictly right of a->b and b->c.  A right turn puts c right of
+    a->b and a right of b->c, so conv(K + b + c) meets ab only in b,
+    conv(K + a + b) meets bc only in b and conv(K + a + c) meets ab only
+    in a: an inner-cap.  A left turn puts K in the open cone at b spanned
+    by b - a and b - c, so b is in the triangle (z, a, c) for
+    z = ``body.vertices[0]``: no inner-cap.  Each of lines ab, bc, ac has
+    K and one member strictly on one side (K and b lie right of a->c) and
+    the other two on it, so the three hull pairs are disjoint: an
+    outer-cup.  Non-consecutive triples follow from radial closure.
+    """
     order = _relaxed_radial_order(p, body) if relaxed else radial_order(p, body)
     n = len(order)
     if n == 0:
         raise ValueError("empty point set")
+    c = int_coords([*order, *body.vertices])
+    verts = c[n:]
+    sign = -1 if want is TripleKind.INNER_CAP else 1
     valid = {}
     par: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
     for j in range(n):
         for i in range(j):
             if (pair_ok is None or pair_ok(order[i], order[j])) and \
-                    _pair_mutually_separable(order[i], order[j], body):
+                    _line_misses(c[i], c[j], verts):
                 valid[(i, j)] = 2
                 par[(i, j)] = None
     for kk in range(n):
@@ -488,15 +489,12 @@ def _relative_chain_dp(p: PointSet, body: ConvexBody, want: TripleKind,
                 if (i, j) not in valid:
                     continue
                 if valid[(i, j)] + 1 > valid[(j, kk)] and \
-                        _classify_or_none(body, order[i], order[j],
-                                          order[kk]) is want:
+                        int_cross(c[i], c[j], c[kk]) * sign > 0:
                     valid[(j, kk)] = valid[(i, j)] + 1
                     par[(j, kk)] = (i, j)
     if not valid:
         return [order[0]]
     best_pair = max(valid, key=lambda pr: (valid[pr], (-pr[0], -pr[1])))
-    if valid[best_pair] < 2:
-        return [order[0]]
     chain = [best_pair[1], best_pair[0]]
     cur = par[best_pair]
     while cur is not None:
@@ -592,7 +590,7 @@ def dilworth(instance: PartialOrderInstance) -> DilworthResult:
             if lp[i] + 1 > lp[j]:
                 lp[j] = lp[i] + 1
                 parent[j] = i
-    end = max(range(n), key=lambda i: (lp[i], -i))
+    end = max(range(n), key=lambda i: (lp[i], -i), default=-1)
     chain = []
     cur = end
     while cur != -1:
@@ -640,7 +638,7 @@ def dilworth(instance: PartialOrderInstance) -> DilworthResult:
             i, j = antichain_idx[a], antichain_idx[b]
             assert (i, j) not in rel and (j, i) not in rel
     return DilworthResult(
-        v=lp[end], h=h,
+        v=len(chain), h=h,
         longest_chain=tuple(chain),
         max_antichain=tuple(instance.points[i] for i in antichain_idx))
 

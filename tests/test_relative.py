@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +11,10 @@ from cupcap import (AvoidanceError, ConvexBody, OrderViolation, Point,
                     dilworth, find_fat_cap, is_convex_position,
                     longest_inner_cap, longest_outer_cup, populate_support,
                     radial_order, support_regions, transversal_check)
-from cupcap.relative import _relative_chain_dp, _relaxed_radial_order
+from cupcap.geom import (convex_hull, cross_sign, int_coords,
+                         point_in_convex_hull)
+from cupcap.relative import (_line_misses, _relative_chain_dp,
+                             _relaxed_radial_order)
 
 import oracles
 from conftest import random_point_set
@@ -20,17 +25,32 @@ def pt(x, y):
 
 
 CAP4 = PointSet.of([(0, 0), (2, 3), (5, 3), (7, 0)])
+BODY_KINDS = ["point", "segment", "polygon"]
+
+
+def random_polygon(rng, cy):
+    """A random convex polygon body of 3 to 5 vertices around (0, cy), or
+    None when the drawn corners span fewer than 3 hull vertices."""
+    corners = [pt(rng.randrange(-8, 9), cy + rng.randrange(-4, 5))
+               for _ in range(rng.randrange(3, 6))]
+    if len(convex_hull(corners)) < 3:
+        return None
+    return ConvexBody.polygon(corners)
 
 
 def make_valid_instance(rng, n, body_kind="point"):
     """Random instance satisfying separation and avoidance, or None."""
     if body_kind == "point":
         body = ConvexBody.point(pt(rng.randrange(-5, 6), rng.randrange(-30, -10)))
-    else:
+    elif body_kind == "segment":
         x1 = rng.randrange(-12, -1)
         x2 = rng.randrange(1, 12)
         y = rng.randrange(-25, -10)
         body = ConvexBody.segment(pt(x1, y), pt(x2, y))
+    else:
+        body = random_polygon(rng, rng.randrange(-25, -14))
+        if body is None:
+            return None, None
     pts = set()
     while len(pts) < n:
         pts.add((rng.randrange(-25, 26), rng.randrange(2, 30)))
@@ -40,6 +60,41 @@ def make_valid_instance(rng, n, body_kind="point"):
     except ValueError:
         return None, None
     return ps, body
+
+
+def make_separated_instance(rng, n, body_kind):
+    """Random instance in the shape of ``cell_profile``'s calls: separated
+    from the body, with lines through pairs free to meet it; or None."""
+    if body_kind == "point":
+        body = ConvexBody.point(pt(rng.choice((-20, 20)), rng.randrange(-3, 1)))
+    elif body_kind == "segment":
+        body = ConvexBody.segment(pt(-10, 0), pt(10, 0))
+    else:
+        body = random_polygon(rng, -3)
+        if body is None:
+            return None, None
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randrange(-9, 10), rng.randrange(1, 25)))
+    ps = PointSet.of(sorted(pts))
+    try:
+        _relaxed_radial_order(ps, body)
+    except SeparationError:
+        return None, None
+    return ps, body
+
+
+def mutually_separable(p, q, body):
+    """The hull definition: neither point lies in the hull of the body with
+    the other."""
+    return (not point_in_convex_hull(p, [q, *body.vertices])
+            and not point_in_convex_hull(q, [p, *body.vertices]))
+
+
+def turn_kind(a, b, c):
+    """The chain DP's reading of a radially ordered triple's turn."""
+    return {-1: TripleKind.INNER_CAP, 0: TripleKind.COLLINEAR,
+            1: TripleKind.OUTER_CUP}[cross_sign(a, b, c)]
 
 
 class TestSupportRegions:
@@ -214,13 +269,19 @@ class TestRadialOrder:
             radial_order(PointSet.of([(0, 5), (1, -5), (7, 3)]), body)
 
     def test_relaxed_matches_strict(self):
+        # the reference is the comparator sort by turn: p precedes q when
+        # the body lies right of p -> q
         rng = random.Random(14)
         done = 0
         while done < 30:
-            ps, body = make_valid_instance(rng, 7, rng.choice(["point", "segment"]))
+            ps, body = make_valid_instance(rng, 7, rng.choice(BODY_KINDS))
             if ps is None:
                 continue
-            assert _relaxed_radial_order(ps, body) == radial_order(ps, body)
+            ref = body.vertices[0]
+            by_turn = sorted(ps, key=cmp_to_key(
+                lambda a, b: cross_sign(a, b, ref)))
+            assert _relaxed_radial_order(ps, body) == radial_order(ps, body) \
+                == by_turn
             done += 1
 
 
@@ -244,11 +305,10 @@ class TestClassifyTriple:
         rng = random.Random(15)
         done = 0
         while done < 25:
-            ps, body = make_valid_instance(rng, 5, rng.choice(["point", "segment"]))
+            ps, body = make_valid_instance(rng, 5, rng.choice(BODY_KINDS))
             if ps is None:
                 continue
             order = radial_order(ps, body)
-            from itertools import combinations
             for trio in combinations(order, 3):
                 kind = classify_triple(body, *trio)
                 assert kind in (TripleKind.INNER_CAP, TripleKind.OUTER_CUP,
@@ -261,11 +321,10 @@ class TestClassifyTriple:
         rng = random.Random(16)
         done = 0
         while done < 40:
-            ps, body = make_valid_instance(rng, 6, rng.choice(["point", "segment"]))
+            ps, body = make_valid_instance(rng, 6, rng.choice(BODY_KINDS))
             if ps is None:
                 continue
             order = radial_order(ps, body)
-            from itertools import combinations
             for quad in combinations(range(len(order)), 4):
                 i, j, s, t = quad
                 k1 = classify_triple(body, order[i], order[j], order[s])
@@ -276,6 +335,60 @@ class TestClassifyTriple:
                         kind = classify_triple(body, *(order[x] for x in trio))
                         assert kind is k1, (list(ps), body, quad, trio)
             done += 1
+
+    def test_turn_sign_matches_hull_definition(self):
+        # on radially ordered triples, the chain DP's turn sign is the hull
+        # classification
+        rng = random.Random(17)
+        for kind in BODY_KINDS:
+            done = 0
+            while done < 8:
+                ps, body = make_valid_instance(rng, 7, kind)
+                if ps is None:
+                    continue
+                for trio in combinations(radial_order(ps, body), 3):
+                    assert classify_triple(body, *trio) is turn_kind(*trio), \
+                        (list(ps), body, trio)
+                done += 1
+
+    def test_turn_sign_matches_hull_definition_relaxed(self):
+        # on relaxed orders, the same holds for every triple whose two
+        # consecutive pairs are mutually separable
+        rng = random.Random(18)
+        for kind in BODY_KINDS:
+            done = checked = 0
+            while done < 8:
+                ps, body = make_separated_instance(rng, 8, kind)
+                if ps is None:
+                    continue
+                order = _relaxed_radial_order(ps, body)
+                for a, b, c in combinations(order, 3):
+                    if mutually_separable(a, b, body) and \
+                            mutually_separable(b, c, body):
+                        assert classify_triple(body, a, b, c) is \
+                            turn_kind(a, b, c), (list(ps), body, (a, b, c))
+                        checked += 1
+                done += 1
+            assert checked > 0
+
+    def test_mutual_separability_is_line_missing_body(self):
+        rng = random.Random(20)
+        outcomes = set()
+        for kind in BODY_KINDS:
+            done = 0
+            while done < 8:
+                ps, body = make_separated_instance(rng, 8, kind)
+                if ps is None:
+                    continue
+                pts = list(ps)
+                c = int_coords([*pts, *body.vertices])
+                for i, j in combinations(range(len(pts)), 2):
+                    misses = _line_misses(c[i], c[j], c[len(pts):])
+                    assert mutually_separable(pts[i], pts[j], body) == misses, \
+                        (pts[i], pts[j], body)
+                    outcomes.add((kind, misses))
+                done += 1
+        assert outcomes == {(k, m) for k in BODY_KINDS for m in (True, False)}
 
 
 class TestLongestRelativeChains:
@@ -302,7 +415,7 @@ class TestLongestRelativeChains:
         rng = random.Random(19)
         done = 0
         while done < 15:
-            ps, body = make_valid_instance(rng, 7, rng.choice(["point", "segment"]))
+            ps, body = make_valid_instance(rng, 7, rng.choice(BODY_KINDS))
             if ps is None:
                 continue
             inner = longest_inner_cap(ps, body)
@@ -317,7 +430,7 @@ class TestLongestRelativeChains:
 
     def test_levelwise_oracle_matches_plain_enumeration(self):
         rng = random.Random(23)
-        for kind in ("point", "segment"):
+        for kind in BODY_KINDS:
             done = 0
             while done < 4:
                 ps, body = make_valid_instance(rng, rng.randrange(6, 9), kind)
@@ -372,6 +485,12 @@ class TestDilworth:
         res = dilworth(inst)
         assert res.v == 1 and res.h == 5
 
+    def test_empty_order(self):
+        res = dilworth(conv_order(PointSet([]),
+                                  ConvexBody.segment(pt(0, 0), pt(4, 0))))
+        assert (res.v, res.h, res.longest_chain, res.max_antichain) == \
+            (0, 0, (), ())
+
     def test_product_bound_and_oracle(self):
         rng = random.Random(25)
         for _ in range(15):
@@ -424,6 +543,16 @@ class TestCellProfile:
         assert (prof.h, prof.v, prof.a, prof.b, prof.w, prof.z) == \
             (1, 1, 1, 1, 1, 1)
 
+    def test_separation_checked_at_every_size(self):
+        # (0, 0) lies on the base, so neither cell is separated from it
+        for cell in ([(0, 0)], [(0, 0), (1, 5)]):
+            with pytest.raises(SeparationError):
+                cell_profile(PointSet.of(cell), self.LEFT, self.RIGHT, self.B)
+
+    def test_empty_cell(self):
+        with pytest.raises(ValueError, match="empty point set"):
+            cell_profile(PointSet([]), self.LEFT, self.RIGHT, self.B)
+
     def test_product_bound_random(self):
         rng = random.Random(33)
         for _ in range(5):
@@ -449,7 +578,6 @@ class TestCellProfile:
                 return inst.less(p, q) or inst.less(q, p)
 
             # brute force over subsets: chains that are inner-caps wrt RIGHT
-            from itertools import combinations
             best_a = 1
             best_w = 1
             best_z = 1
