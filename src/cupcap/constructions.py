@@ -19,6 +19,7 @@ coordinates; nothing is trusted from construction-time reasoning.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 from .bounds import free_set_size_bound
 from .extremal import (longest_cap_size, longest_cup_size, max_collinear,
                        max_convex_subset)
-from .geom import Point, PointSet, convex_hull, cross_sign, int_coords
+from .geom import Point, PointSet, int_coords, int_cross, int_hull
 
 _MAX_ADAPT_ATTEMPTS = 10_000
 # Largest set the generators will build; the same cap as enumerate_downsets.
@@ -132,22 +133,31 @@ def _pow2_at_most(value: Fraction) -> Fraction:
 
 def _hull_pairs_side(upper: Sequence[Point], lower: Sequence[Point],
                      want_sign: int) -> bool:
-    """Exact check that every point of ``lower`` is strictly on one side of
-    every line through two points of ``upper``.
+    """Exact check that every strict hull vertex r of ``lower`` lies
+    strictly on one side of every line through two strict hull vertices
+    p < q (in (x, y) order) of ``upper``: the turn (p, q, r) has sign
+    ``want_sign``.
 
-    The cross product is affine in each argument separately, so sign
-    definiteness over the full sets follows from sign definiteness on the
-    strict hull vertices; only those are tested.
+    Only hull vertices are tested.  That covers every point of ``lower``
+    (the turn is affine in r), but not every pair of ``upper``: a steep
+    pair inside conv(upper) can have a point of ``lower`` on its other side.
     """
-    hu = convex_hull(upper)
-    hl = convex_hull(lower)
+    c = int_coords([*upper, *lower])
+    k = len(upper)
+    return _int_hulls_side(int_hull(c[:k]), int_hull(c[k:]), want_sign)
+
+
+def _int_hulls_side(hu: Sequence[tuple[int, int]],
+                    hl: Sequence[tuple[int, int]], want_sign: int) -> bool:
+    """``_hull_pairs_side`` on ``int_hull``s of one ``int_coords`` array,
+    whose positive per-axis map keeps the (x, y) order and turn signs."""
     for i in range(len(hu)):
         for j in range(i + 1, len(hu)):
             p, q = hu[i], hu[j]
-            if (p.x, p.y) > (q.x, q.y):
+            if p > q:
                 p, q = q, p
             for r in hl:
-                if cross_sign(p, q, r) != want_sign:
+                if int_cross(p, q, r) * want_sign <= 0:
                     return False
     return True
 
@@ -297,23 +307,23 @@ def _blocks_pairwise_ok(placed: Sequence[tuple[Point, ...]]) -> bool:
 
     All conditions are affine per argument and are tested on hull vertices.
     """
-    t = len(placed)
+    coords = iter(int_coords([p for block in placed for p in block]))
+    hulls = [int_hull(itertools.islice(coords, len(block)))
+             for block in placed]
+    t = len(hulls)
     for i in range(t):
         for j in range(i + 1, t):
-            if not _hull_pairs_side(placed[i], placed[j], -1):
+            if not _int_hulls_side(hulls[i], hulls[j], -1):
                 return False
-            if not _hull_pairs_side(placed[j], placed[i], 1):
+            if not _int_hulls_side(hulls[j], hulls[i], 1):
                 return False
     for i in range(t):
-        hi = convex_hull(placed[i])
         for j in range(i + 1, t):
-            hj = convex_hull(placed[j])
             for k in range(j + 1, t):
-                hk = convex_hull(placed[k])
-                for p in hi:
-                    for q in hj:
-                        for r in hk:
-                            if cross_sign(p, q, r) != -1:
+                for p in hulls[i]:
+                    for q in hulls[j]:
+                        for r in hulls[k]:
+                            if int_cross(p, q, r) >= 0:
                                 return False
     return True
 

@@ -1,8 +1,10 @@
 """Exact planar geometry kernel.
 
-Everything here runs on arbitrary-precision rationals (``fractions.Fraction``)
-or on the exact integer coordinates ``int_coords`` derives from them, so
-every predicate is a deterministic exact sign computation.  No floating
+Points have arbitrary-precision rational coordinates (``fractions.Fraction``).
+Predicates run on them directly or on the exact integer coordinates
+``int_coords`` derives from them; the convex hull and hull containment run
+on the integer coordinates only (``int_hull``, ``int_hull_contains``).
+Every predicate is a deterministic exact sign computation.  No floating
 point is used anywhere in this module.  All functions are pure and safe to
 call concurrently.
 
@@ -93,8 +95,8 @@ def int_coords(pts: Sequence[Point]) -> list[tuple[int, int]]:
         return []
     sx = math.lcm(*(p.x.denominator for p in pts))
     sy = math.lcm(*(p.y.denominator for p in pts))
-    xs = [int(p.x * sx) for p in pts]
-    ys = [int(p.y * sy) for p in pts]
+    xs = [p.x.numerator * (sx // p.x.denominator) for p in pts]
+    ys = [p.y.numerator * (sy // p.y.denominator) for p in pts]
     mx, my = min(xs), min(ys)
     xs = [v - mx for v in xs]
     ys = [v - my for v in ys]
@@ -198,29 +200,61 @@ def shear_distinct_x(ps: PointSet) -> PointSet:
     return PointSet(Point(p.x + eps * p.y, p.y) for p in pts)
 
 
-def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Strict convex hull in counterclockwise order.
+def int_hull(coords: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Strict convex hull of integer pairs in counterclockwise order, from
+    the least pair in (x, y) order (Andrew's monotone chain on ``int_cross``).
 
-    Points lying in the interior of hull edges are excluded.  A singleton
-    yields itself; a collinear set yields its two extreme points.
+    Duplicates are merged and points interior to hull edges are excluded.
+    A singleton yields itself; a collinear set yields its two extreme pairs.
     """
-    pts = sorted(dict.fromkeys(points), key=lambda p: (p.x, p.y))
+    pts = sorted(set(coords))
     if not pts:
         raise ValueError("convex hull of an empty set")
     if len(pts) == 1:
-        return (pts[0],)
+        return pts
 
     def half(seq):
-        chain: list[Point] = []
+        chain: list[tuple[int, int]] = []
         for p in seq:
-            while len(chain) >= 2 and cross_sign(chain[-2], chain[-1], p) <= 0:
+            while len(chain) >= 2 and int_cross(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
         return chain
 
     lower = half(pts)
     upper = half(reversed(pts))
-    return tuple(lower[:-1] + upper[:-1])
+    return lower[:-1] + upper[:-1]
+
+
+def int_hull_contains(hull: Sequence[tuple[int, int]],
+                      p: tuple[int, int]) -> bool:
+    """Closed containment of p in a hull built by ``int_hull``."""
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        a, b = hull
+        if int_cross(a, b, p) != 0:
+            return False
+        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    return all(int_cross(hull[i - 1], hull[i], p) >= 0
+               for i in range(len(hull)))
+
+
+def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
+    """Strict convex hull in counterclockwise order, from the least point
+    in (x, y) order: ``int_hull`` on ``int_coords``, whose positive per-axis
+    affine map keeps the (x, y) order and every turn sign.
+
+    Points lying in the interior of hull edges are excluded.  A singleton
+    yields itself; a collinear set yields its two extreme points.
+    """
+    pts = list(points)
+    coords = int_coords(pts)
+    back: dict[tuple[int, int], Point] = {}
+    for c, p in zip(coords, pts):
+        back.setdefault(c, p)
+    return tuple(back[c] for c in int_hull(back))
 
 
 def is_convex_position(ps: PointSet | Sequence) -> bool:
@@ -276,18 +310,5 @@ def point_in_convex_region(p: Point, halfplanes: Iterable[HalfPlane]) -> bool:
 
 def point_in_convex_hull(p: Point, points: Iterable[Point]) -> bool:
     """Closed containment: p in conv(points), boundary inclusive."""
-    return hull_contains(convex_hull(points), p)
-
-
-def hull_contains(hull: Sequence[Point], p: Point) -> bool:
-    """Closed containment of p in a hull built by ``convex_hull``."""
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if cross_sign(a, b, p) != 0:
-            return False
-        return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-                and min(a.y, b.y) <= p.y <= max(a.y, b.y))
-    k = len(hull)
-    return all(cross_sign(hull[i], hull[(i + 1) % k], p) >= 0 for i in range(k))
+    c = int_coords([p, *points])
+    return int_hull_contains(int_hull(c[1:]), c[0])

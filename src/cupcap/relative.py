@@ -31,8 +31,9 @@ import numpy as np
 
 from .extremal import StructureWitness, WitnessKind, is_cap, is_cup
 from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
-                   hull_contains, int_coords, int_cross, is_convex_position,
-                   point_in_convex_hull, point_in_convex_region)
+                   int_coords, int_cross, int_hull, int_hull_contains,
+                   is_convex_position, point_in_convex_hull,
+                   point_in_convex_region)
 
 
 class GeometryPreconditionError(ValueError):
@@ -356,12 +357,14 @@ def _line_misses(a: tuple[int, int], b: tuple[int, int],
     return all(int_cross(a, b, v) * side > 0 for v in body)
 
 
-def _check_avoidance(pts: Sequence[Point], body: ConvexBody) -> None:
-    c = int_coords([*pts, *body.vertices])
-    verts = c[len(pts):]
+def _check_avoidance(pts: Sequence[Point], coords: Sequence[tuple[int, int]],
+                     verts: Sequence[tuple[int, int]]) -> None:
+    """Raise on the first pair of pts, in their order, whose line meets the
+    body; ``coords`` and ``verts`` are the ``int_coords`` of pts and of the
+    body vertices, from one array."""
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if not _line_misses(c[i], c[j], verts):
+            if not _line_misses(coords[i], coords[j], verts):
                 raise AvoidanceError(
                     f"line through {pts[i]!r} and {pts[j]!r} meets the body",
                     (pts[i], pts[j]))
@@ -375,14 +378,16 @@ def radial_order(p: PointSet, body: ConvexBody) -> list[Point]:
     on failure.  For a single-point body this is angular order.
     """
     order = _relaxed_radial_order(p, body)
-    _check_avoidance(list(p), body)
-    ref = body.vertices[0]
+    n = len(order)
+    c = int_coords([*order, *body.vertices])
+    at = dict(zip(order, c))
+    _check_avoidance(list(p), [at[q] for q in p], c[n:])
     # avoidance puts the whole body strictly on one side of each pair line,
     # so one vertex decides the side; p precedes q when the body lies to
     # the right of the directed line p -> q.
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if cross_sign(order[i], order[j], ref) != -1:
+    for i in range(n):
+        for j in range(i + 1, n):
+            if int_cross(c[i], c[j], c[n]) >= 0:
                 raise OrderViolation(
                     "radial comparisons are not a total order",
                     (order[i], order[j]))
@@ -541,11 +546,13 @@ class PartialOrderInstance:
 def conv_order(p: PointSet, body: ConvexBody) -> PartialOrderInstance:
     pts = tuple(p)
     n = len(pts)
+    c = int_coords([*pts, *body.vertices])
+    verts = c[n:]
     rel = set()
     for j in range(n):
-        hull_j = convex_hull([*body.vertices, pts[j]])
+        hull_j = int_hull([*verts, c[j]])
         for i in range(n):
-            if i != j and hull_contains(hull_j, pts[i]):
+            if i != j and int_hull_contains(hull_j, c[i]):
                 rel.add((i, j))
     for (i, j) in rel:
         if (j, i) in rel:

@@ -49,10 +49,13 @@ def convex_position(pts) -> bool:
 
 
 def _in_closed_triangle(p, a, b, c):
+    """p in the closed triangle abc.  All three signs are zero only when
+    a, b, c are collinear and p is on their line, which this test leaves to
+    the segment tests: a point beyond the corners is outside."""
     d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
     has_neg = d1 < 0 or d2 < 0 or d3 < 0
     has_pos = d1 > 0 or d2 > 0 or d3 > 0
-    return not (has_neg and has_pos)
+    return (has_neg or has_pos) and not (has_neg and has_pos)
 
 
 def _on_segment(p, a, b):
@@ -187,7 +190,27 @@ def brute_max_antichain(n: int, less) -> int:
     return best
 
 
+def monotone_chain(pts):
+    """Strict convex hull, counterclockwise from the least point in (x, y)
+    order, by Andrew's monotone chain on the cross products above."""
+    pts = sorted(set(pts), key=lambda p: (p.x, p.y))
+    if len(pts) == 1:
+        return tuple(pts)
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    return tuple(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
 def point_in_hull_closed(p, pts):
+    """Closed containment, by Caratheodory: p lies in a closed triangle, on
+    a closed segment, or at a point of pts."""
     pts = list(pts)
     if len(pts) == 1:
         return p == pts[0]

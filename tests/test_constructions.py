@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from cupcap import (FlatPlacement, Point, PointSet,
                     free_set_size_bound, longest_cap_size, longest_cup_size,
                     max_collinear, normalize_integer_coords, orientation,
                     verify_construction)
+from cupcap.constructions import _hull_pairs_side
 from cupcap.geom import cross_sign
 
 import oracles
@@ -104,6 +106,31 @@ class TestCombineFlat:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine_flat(PointSet([]), PointSet.of([(0, 0)]))
+
+    def test_hull_pairs_side_matches_fraction_hull_vertices(self):
+        # every strict hull vertex of lower against every line through two
+        # strict hull vertices of upper, each pair taken in (x, y) order, on
+        # Fraction cross products
+        rng = random.Random(31)
+
+        def draw(k, dy):
+            return [Point(Fraction(rng.randrange(-9, 10), rng.choice((1, 3))),
+                          Fraction(rng.randrange(0, 5), rng.choice((1, 2)))
+                          + dy) for _ in range(k)]
+
+        outcomes = set()
+        for _ in range(300):
+            upper = draw(rng.randrange(1, 7), 0)
+            lower = draw(rng.randrange(1, 5), rng.randrange(-60, 61))
+            pairs = combinations(sorted(oracles.monotone_chain(upper),
+                                        key=lambda p: (p.x, p.y)), 2)
+            crosses = [oracles.cross(p, q, r) for p, q in pairs
+                       for r in oracles.monotone_chain(lower)]
+            for want in (1, -1):
+                expect = all(v * want > 0 for v in crosses)
+                assert _hull_pairs_side(upper, lower, want) == expect
+                outcomes.add((want, expect))
+        assert len(outcomes) == 4
 
 
 class TestBuildFreeSet:

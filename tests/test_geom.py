@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from cupcap import (HalfPlane, Orientation, Point, PointSet, convex_hull,
                     is_convex_position, orientation, point_in_convex_hull,
                     point_in_convex_region, shear_distinct_x)
-from cupcap.geom import cross_sign, int_cross, slope_scale
+from cupcap.geom import (cross_sign, int_coords, int_cross, int_hull,
+                         int_hull_contains, slope_scale)
 
+import oracles
 from conftest import random_point_set
 
 
@@ -22,6 +24,28 @@ small_coord = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 points = st.builds(Point, small_coord, small_coord)
 big_int = st.integers(min_value=-2**100, max_value=2**100)
 int_pairs = st.tuples(big_int, big_int)
+big_frac = st.builds(Fraction, big_int, st.integers(1, 2**100))
+
+
+@st.composite
+def hull_inputs(draw):
+    """Point lists with repeats: generic rationals up to 2**100, points on
+    one line, or a 4 x 4 grid under a per-axis map with such rationals."""
+    kind = draw(st.sampled_from(["generic", "collinear", "grid"]))
+    if kind == "generic":
+        pts = draw(st.lists(st.builds(Point, big_frac, big_frac),
+                            min_size=1, max_size=8))
+    elif kind == "collinear":
+        ox, oy, dx, dy = (draw(big_frac) for _ in range(4))
+        ts = draw(st.lists(st.fractions(-5, 5, max_denominator=4),
+                           min_size=1, max_size=8))
+        pts = [Point(ox + t * dx, oy + t * dy) for t in ts]
+    else:
+        ox, oy, sx, sy = (draw(big_frac) for _ in range(4))
+        cells = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              min_size=1, max_size=8))
+        pts = [Point(ox + sx * x, oy + sy * y) for x, y in cells]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
 
 
 class TestOrientation:
@@ -146,6 +170,28 @@ class TestConvexHull:
             for p in ps:
                 others = [q for q in ps if q != p]
                 assert (p in hull) == (not point_in_convex_hull(p, others))
+
+
+    @given(hull_inputs())
+    def test_matches_fraction_monotone_chain(self, pts):
+        # the vertex order is pinned: separating_axis walks hull edges in it
+        assert convex_hull(pts) == oracles.monotone_chain(pts)
+
+    @given(hull_inputs(), st.builds(Point, big_frac, big_frac))
+    def test_int_hull_contains_matches_oracle(self, pts, far):
+        # probes: the points, midpoints (inside or on the boundary), points
+        # beyond a pair on its line, and one drawn point
+        probes = pts + [far]
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            probes.append(Point((a.x + b.x) / 2, (a.y + b.y) / 2))
+            probes.append(Point(2 * b.x - a.x, 2 * b.y - a.y))
+        c = int_coords(probes + pts)
+        hull = int_hull(c[len(probes):])
+        for q, cq in zip(probes, c):
+            assert int_hull_contains(hull, cq) == \
+                oracles.point_in_hull_closed(q, pts)
+        assert point_in_convex_hull(far, pts) == \
+            oracles.point_in_hull_closed(far, pts)
 
 
 class TestConvexPosition:

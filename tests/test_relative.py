@@ -263,6 +263,14 @@ class TestRadialOrder:
             radial_order(PointSet.of([(0, 1), (0, 5), (3, 2)]), body)
         assert set(err.value.pair) == {pt(0, 1), pt(0, 5)}
 
+    def test_avoidance_pair_is_first_in_input_order(self):
+        # both vertical pairs' lines meet the body; the radial order puts
+        # (0, 1) and (0, 5) first, the input order puts (1, 1) and (2, 12)
+        body = ConvexBody.point(pt(0, -10))
+        with pytest.raises(AvoidanceError) as err:
+            radial_order(PointSet.of([(1, 1), (0, 5), (2, 12), (0, 1)]), body)
+        assert err.value.pair == (pt(1, 1), pt(2, 12))
+
     def test_separation_violation(self):
         body = ConvexBody.segment(pt(-5, 0), pt(5, 0))
         with pytest.raises(SeparationError):
@@ -468,6 +476,40 @@ class TestConvOrder:
     def test_cycle_detected(self):
         with pytest.raises(OrderViolation):
             conv_order(PointSet.of([(1, 0), (2, 0)]), self.B)
+
+    @staticmethod
+    def assert_matches_oracle(ps, body):
+        inst = conv_order(ps, body)
+        pts = inst.points
+        assert inst.relation == {
+            (i, j) for i in range(len(pts)) for j in range(len(pts))
+            if i != j and oracles.point_in_hull_closed(
+                pts[i], [pts[j], *body.vertices])}
+
+    def test_matches_brute_oracle(self):
+        rng = random.Random(46)
+        for kind in BODY_KINDS:
+            done = 0
+            while done < 15:
+                ps, body = make_valid_instance(rng, rng.randrange(6, 11), kind)
+                if ps is not None:
+                    self.assert_matches_oracle(ps, body)
+                    done += 1
+
+    @pytest.mark.parametrize("pairs, body", [
+        # on the segment body's line beyond both ends: two-vertex hulls
+        ([(6, 0), (8, 0), (-3, 0), (2, 3), (7, 1)],
+         ConvexBody.segment(pt(0, 0), pt(4, 0))),
+        # on a polygon body's edge, and on two edge lines beyond the body:
+        # on the boundary of k-vertex hulls
+        ([(3, 0), (8, 0), (10, 0), (7, 1), (8, 2), (3, 4)],
+         ConvexBody.polygon([pt(0, 0), pt(6, 0), pt(3, -3)])),
+        # the point body itself (a one-vertex hull) and points on one ray
+        ([(0, 0), (1, 1), (2, 2), (3, 3), (-1, 2), (2, 1)],
+         ConvexBody.point(pt(0, 0))),
+    ])
+    def test_degenerate_cases_match_brute_oracle(self, pairs, body):
+        self.assert_matches_oracle(PointSet.of(pairs), body)
 
 
 class TestDilworth:
