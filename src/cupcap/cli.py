@@ -64,9 +64,12 @@ def _jsonable(v):
     return v
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    espts.write_text_atomic(path, text)
+    espts.write_text_atomic(path, _json_text(payload))
 
 
 def _points_json(ps) -> list:
@@ -90,26 +93,24 @@ def _parse_claim(text: str) -> tuple:
 # subcommand implementations
 
 
-def _cmd_gen_x(args, cfg: RunConfig) -> int:
-    ps = build_free_set(args.l, args.m, args.n)
+def _save_and_certify(ps: PointSet, args, claim: tuple) -> int:
     espts.save_file(ps, args.out)
     if args.cert:
-        cert = verify_construction(ps, ("x", args.l, args.m, args.n))
+        cert = verify_construction(ps, claim)
         _write_json(args.cert, cert.as_dict())
         if not cert.passes:
             return 1
     return 0
+
+
+def _cmd_gen_x(args, cfg: RunConfig) -> int:
+    return _save_and_certify(build_free_set(args.l, args.m, args.n), args,
+                             ("x", args.l, args.m, args.n))
 
 
 def _cmd_gen_es(args, cfg: RunConfig) -> int:
-    ps = build_convex_free(args.l, args.n)
-    espts.save_file(ps, args.out)
-    if args.cert:
-        cert = verify_construction(ps, ("es", args.l, args.n))
-        _write_json(args.cert, cert.as_dict())
-        if not cert.passes:
-            return 1
-    return 0
+    return _save_and_certify(build_convex_free(args.l, args.n), args,
+                             ("es", args.l, args.n))
 
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
@@ -155,8 +156,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     if args.report:
         _write_json(args.report, payload)
     else:
-        sys.stdout.write(json.dumps(_jsonable(payload), indent=2,
-                                    sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(payload))
     return 0 if cert.passes else 1
 
 
@@ -324,10 +324,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except espts.EsptsParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # EsptsParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

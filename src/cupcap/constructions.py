@@ -210,12 +210,15 @@ def build_base_capfree(l: int, n: int) -> PointSet:
 def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     """Union of a and a flattened copy of b placed above and to its right.
 
-    The returned placement is verified exactly: every line through two
-    points of the left part passes strictly below every point of the right
-    part, and every line through two points of the right part passes
-    strictly above every point of the left part.  Consequently a cup can
-    use at most one right-part point after two left-part points (and the
-    mirror for caps), and no collinear triple spans both parts.
+    The placement is meant to make every line through two points of the
+    left part pass strictly below every point of the right part, and every
+    line through two points of the right part pass strictly above every
+    point of the left part.  Consequently a cup can use at most one
+    right-part point after two left-part points (and the mirror for caps),
+    and no collinear triple spans both parts.  The exact check
+    (``_hull_pairs_side``) tests only lines through two hull vertices of
+    one part, against every point of the other; ``--cert``
+    (``verify_construction``) recomputes every bound of the result.
 
     The vertical scale starts from an analytic slope-bound guess and is
     halved until both checks pass, at most ``_MAX_ADAPT_ATTEMPTS`` times.
@@ -299,13 +302,18 @@ def _arc_anchor(u: Fraction) -> Point:
 def _blocks_pairwise_ok(placed: Sequence[tuple[Point, ...]]) -> bool:
     """Exact betweenness checks for blocks ordered top-left to bottom-right:
 
-    * lines within block i pass strictly above every block j > i,
-    * lines within block j pass strictly below every block i < j,
+    * lines through two hull vertices of block i pass strictly above every
+      block j > i,
+    * lines through two hull vertices of block j pass strictly below every
+      block i < j,
     * triples taken from three distinct blocks always turn right
       (so cross-block collinearity is impossible and one-per-block
       selections follow the cap-shaped arc).
 
-    All conditions are affine per argument and are tested on hull vertices.
+    Each condition is affine in the point tested against a line, so hull
+    vertices cover every point there; the first two do not cover lines
+    through other pairs of a block.  ``--cert`` (``verify_construction``)
+    recomputes every bound of the result.
     """
     coords = iter(int_coords([p for block in placed for p in block]))
     hulls = [int_hull(itertools.islice(coords, len(block)))

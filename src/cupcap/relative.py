@@ -13,8 +13,12 @@ every non-collinear triple is exactly one of:
 * an outer-cup: each member together with K is strictly separable from the
   other two.
 
-All predicates are exact (the chain DP reads them off integer turn signs,
-see ``_relative_chain_dp``); randomized search is deterministic.
+All predicates are exact.  Each radial-order call (``radial_order``, the
+inner-cap / outer-cup chains and ``cell_profile``'s chains) normalises the
+points and the body once, with ``int_coords``, and finds the separating
+axis, the tangent order and the chain DP's turn signs on that one integer
+array (``_radial``, ``_relative_chain_dp``).  ``classify_triple`` keeps the
+hull definitions as the reference.  Randomized search is deterministic.
 """
 
 from __future__ import annotations
@@ -87,47 +91,37 @@ class ConvexBody:
 # convex-set predicates
 
 
-def _project(pts: Sequence[Point], ax: Fraction, ay: Fraction):
-    vals = [ax * p.x + ay * p.y for p in pts]
-    return min(vals), max(vals)
-
-
-def separating_axis(a: Sequence[Point],
-                    b: Sequence[Point]) -> Optional[tuple[Fraction, Fraction]]:
-    """An exact axis (nx, ny) with max proj(b) < min proj(a), or None.
+def _separating_axis(ha: Sequence[tuple[int, int]],
+                     hb: Sequence[tuple[int, int]]
+                     ) -> Optional[tuple[int, int]]:
+    """An integer axis n with n.b < n.a for every a in ``ha`` and b in
+    ``hb``, or None; ``ha`` and ``hb`` are ``int_hull``s.
 
     Candidate axes: edge normals of both hulls plus all pairwise vertex
     differences (the latter cover the degenerate point/segment
     closest-feature cases); together they witness every strict separation
     of compact convex sets in the plane.
     """
-    ha, hb = convex_hull(a), convex_hull(b)
     axes = []
     for hull in (ha, hb):
-        k = len(hull)
-        if k >= 2:
-            edge_count = 1 if k == 2 else k
-            for i in range(edge_count):
-                p, q = hull[i], hull[(i + 1) % k]
-                axes.append((-(q.y - p.y), q.x - p.x))
-    for p in ha:
-        for q in hb:
-            axes.append((q.x - p.x, q.y - p.y))
+        ends = hull[1:] + hull[:1] if len(hull) > 2 else hull[1:]
+        axes += [(p[1] - q[1], q[0] - p[0]) for p, q in zip(hull, ends)]
+    axes += [(q[0] - p[0], q[1] - p[1]) for p in ha for q in hb]
     for ax, ay in axes:
-        if ax == 0 and ay == 0:
-            continue
-        amin, amax = _project(ha, ax, ay)
-        bmin, bmax = _project(hb, ax, ay)
-        if bmax < amin:
+        pa = [ax * x + ay * y for x, y in ha]
+        pb = [ax * x + ay * y for x, y in hb]
+        if max(pb) < min(pa):
             return (ax, ay)
-        if amax < bmin:
+        if max(pa) < min(pb):
             return (-ax, -ay)
     return None
 
 
 def hulls_strictly_disjoint(a: Sequence[Point], b: Sequence[Point]) -> bool:
     """Exact disjointness of conv(a) and conv(b)."""
-    return separating_axis(a, b) is not None
+    c = int_coords([*a, *b])
+    k = len(a)
+    return _separating_axis(int_hull(c[:k]), int_hull(c[k:])) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +351,67 @@ def _line_misses(a: tuple[int, int], b: tuple[int, int],
     return all(int_cross(a, b, v) * side > 0 for v in body)
 
 
-def _check_avoidance(pts: Sequence[Point], coords: Sequence[tuple[int, int]],
-                     verts: Sequence[tuple[int, int]]) -> None:
-    """Raise on the first pair of pts, in their order, whose line meets the
-    body; ``coords`` and ``verts`` are the ``int_coords`` of pts and of the
-    body vertices, from one array."""
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not _line_misses(coords[i], coords[j], verts):
-                raise AvoidanceError(
-                    f"line through {pts[i]!r} and {pts[j]!r} meets the body",
-                    (pts[i], pts[j]))
+def _radial(p: Sequence[Point], body: ConvexBody
+            ) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
+    """The radial order of p around the body, needing only separation:
+    indices of p in order, with the ``int_coords`` of p (in input order)
+    and of the body vertices, from one array.
+
+    A separating axis n puts every point q strictly on one side: with
+    z = ``body.vertices[0]``, ``(q - z).n > 0``.  In that open half-plane
+    the clockwise order of two directions is the sign of their cross
+    product, and the key is the tangent of the angle from n,
+    ``num / den`` with ``den = (q - z).n > 0``, then the squared distance
+    from z (nearer first on one ray).  Cross signs and the order along a
+    ray from z survive any positive per-axis affine map, so the order
+    depends neither on the axis found nor on the normalisation.  Distinct
+    tangents with ``0 < den <= D`` differ by at least 1/D**2, which exceeds
+    1/``scale``, so the integer key ``num * scale // den`` keeps them apart
+    and in order (the ``geom.slope_scale`` argument).
+
+    With separation in force, a pair whose line meets the body is always
+    order-comparable through the body (one member lies in the hull of the
+    body with the other), so structures built from body-avoiding pairs are
+    ordered exactly as in the strict radial order.
+    """
+    n = len(p)
+    c = int_coords([*p, *body.vertices])
+    coords, verts = c[:n], c[n:]
+    if not n:
+        return [], coords, verts
+    axis = _separating_axis(int_hull(coords), int_hull(verts))
+    if axis is None:
+        raise SeparationError("no line separates the body from conv(P)")
+    nx, ny = axis
+    zx, zy = verts[0]
+    d = [(x - zx, y - zy) for x, y in coords]
+    den = [dx * nx + dy * ny for dx, dy in d]
+    scale = 1 << 2 * max(den).bit_length()
+
+    def key(i: int):
+        dx, dy = d[i]
+        return ((dx * ny - dy * nx) * scale // den[i], dx * dx + dy * dy)
+
+    return sorted(range(n), key=key), coords, verts
+
+
+def _strict_radial(p: Sequence[Point], body: ConvexBody):
+    """``_radial`` with the avoidance and total-order checks of
+    ``radial_order``, in that order, on the same integer array."""
+    order, c, verts = _radial(p, body)
+    for i, j in itertools.combinations(range(len(c)), 2):
+        if not _line_misses(c[i], c[j], verts):
+            raise AvoidanceError(
+                f"line through {p[i]!r} and {p[j]!r} meets the body",
+                (p[i], p[j]))
+    # avoidance puts the whole body strictly on one side of each pair line,
+    # so one vertex decides the side; p precedes q when the body lies to
+    # the right of the directed line p -> q.
+    for i, j in itertools.combinations(order, 2):
+        if int_cross(c[i], c[j], verts[0]) >= 0:
+            raise OrderViolation(
+                "radial comparisons are not a total order", (p[i], p[j]))
+    return order, c, verts
 
 
 def radial_order(p: PointSet, body: ConvexBody) -> list[Point]:
@@ -377,21 +421,7 @@ def radial_order(p: PointSet, body: ConvexBody) -> list[Point]:
     avoids the body; both preconditions are checked exactly, with a witness
     on failure.  For a single-point body this is angular order.
     """
-    order = _relaxed_radial_order(p, body)
-    n = len(order)
-    c = int_coords([*order, *body.vertices])
-    at = dict(zip(order, c))
-    _check_avoidance(list(p), [at[q] for q in p], c[n:])
-    # avoidance puts the whole body strictly on one side of each pair line,
-    # so one vertex decides the side; p precedes q when the body lies to
-    # the right of the directed line p -> q.
-    for i in range(n):
-        for j in range(i + 1, n):
-            if int_cross(c[i], c[j], c[n]) >= 0:
-                raise OrderViolation(
-                    "radial comparisons are not a total order",
-                    (order[i], order[j]))
-    return order
+    return [p[i] for i in _strict_radial(p, body)[0]]
 
 
 class TripleKind(Enum):
@@ -419,44 +449,19 @@ def classify_triple(body: ConvexBody, p: Point, q: Point,
         "separation/avoidance preconditions are violated")
 
 
-def _relaxed_radial_order(p: PointSet, body: ConvexBody) -> list[Point]:
-    """Tangent-compatible order that only needs separation, not avoidance.
-
-    With separation in force, a pair whose line meets the body is always
-    order-comparable through the body (one member lies in the hull of the
-    body with the other), so structures built from body-avoiding pairs are
-    ordered exactly as in the strict radial order; remaining pairs just
-    need any fixed position.  The key is the exact tangent of the angle
-    from the separating direction, measured around a body vertex.
-    """
-    pts = list(p)
-    if not pts:
-        return pts
-    axis = separating_axis(pts, body.vertices)
-    if axis is None:
-        raise SeparationError("no line separates the body from conv(P)")
-    nx, ny = axis
-    tx, ty = ny, -nx  # normal rotated -90 degrees: sweeps left to right
-    z = body.vertices[0]
-
-    def key(q: Point):
-        dx, dy = q.x - z.x, q.y - z.y
-        num = dx * tx + dy * ty
-        den = dx * nx + dy * ny
-        return (Fraction(num, den), dx * dx + dy * dy, q.x, q.y)
-
-    return sorted(pts, key=key)
-
-
-def _relative_chain_dp(p: PointSet, body: ConvexBody, want: TripleKind,
-                       pair_ok: Optional[Callable[[Point, Point], bool]] = None,
-                       relaxed: bool = False) -> list[Point]:
+def _relative_chain_dp(order: Sequence[int],
+                       coords: Sequence[tuple[int, int]],
+                       verts: Sequence[tuple[int, int]], sign: int,
+                       pair_ok: Optional[Callable[[int, int], bool]] = None
+                       ) -> list[int]:
     """Longest chain in radial order whose pairs are mutually separable and
-    whose consecutive triples classify as ``want`` (optionally restricted
-    to pairs passing ``pair_ok``), by the cup/cap pair DP.
+    whose consecutive triples turn with ``sign`` (-1: inner-cap, +1:
+    outer-cup), by the cup/cap pair DP; optionally restricted to index
+    pairs passing ``pair_ok``.  Takes and returns indices into the input,
+    as ``_radial`` gives them.
 
     Both predicates are integer turn signs, exact because a line strictly
-    separates P from the body K (both orders check it).  (i) A pair is
+    separates P from the body K (``_radial`` checks it).  (i) A pair is
     mutually separable iff its line misses K: if it misses, conv(K + q)
     meets it only in q; if it meets K, it does so outside the segment pq
     (which lies in conv P), so one point lies between the other and K.
@@ -471,13 +476,10 @@ def _relative_chain_dp(p: PointSet, body: ConvexBody, want: TripleKind,
     the other two on it, so the three hull pairs are disjoint: an
     outer-cup.  Non-consecutive triples follow from radial closure.
     """
-    order = _relaxed_radial_order(p, body) if relaxed else radial_order(p, body)
     n = len(order)
     if n == 0:
         raise ValueError("empty point set")
-    c = int_coords([*order, *body.vertices])
-    verts = c[n:]
-    sign = -1 if want is TripleKind.INNER_CAP else 1
+    c = [coords[i] for i in order]
     valid = {}
     par: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
     for j in range(n):
@@ -511,13 +513,15 @@ def _relative_chain_dp(p: PointSet, body: ConvexBody, want: TripleKind,
 
 def longest_inner_cap(p: PointSet, body: ConvexBody) -> StructureWitness:
     """Maximum inner-cap with respect to the body, via the radial pair DP."""
-    members = _relative_chain_dp(p, body, TripleKind.INNER_CAP)
-    return StructureWitness(WitnessKind.INNER_CAP, PointSet(members))
+    chain = _relative_chain_dp(*_strict_radial(p, body), -1)
+    return StructureWitness(WitnessKind.INNER_CAP,
+                            PointSet(p[i] for i in chain))
 
 
 def longest_outer_cup(p: PointSet, body: ConvexBody) -> StructureWitness:
-    members = _relative_chain_dp(p, body, TripleKind.OUTER_CUP)
-    return StructureWitness(WitnessKind.OUTER_CUP, PointSet(members))
+    chain = _relative_chain_dp(*_strict_radial(p, body), 1)
+    return StructureWitness(WitnessKind.OUTER_CUP,
+                            PointSet(p[i] for i in chain))
 
 
 # ---------------------------------------------------------------------------
@@ -670,18 +674,17 @@ def cell_profile(p: PointSet, left: Point, right: Point,
     instance = conv_order(p, base)
     dw = dilworth(instance)
 
-    def comparable(s: Point, t: Point) -> bool:
-        return instance.less(s, t) or instance.less(t, s)
+    def comparable(i: int, j: int) -> bool:
+        return instance.less_idx(i, j) or instance.less_idx(j, i)
 
-    def incomparable(s: Point, t: Point) -> bool:
-        return not comparable(s, t)
+    def incomparable(i: int, j: int) -> bool:
+        return not comparable(i, j)
 
-    a = len(_relative_chain_dp(p, ConvexBody.point(right),
-                               TripleKind.INNER_CAP, comparable, relaxed=True))
-    b = len(_relative_chain_dp(p, ConvexBody.point(left),
-                               TripleKind.INNER_CAP, comparable, relaxed=True))
-    w = len(_relative_chain_dp(p, base, TripleKind.INNER_CAP, incomparable,
-                               relaxed=True))
-    z = len(_relative_chain_dp(p, base, TripleKind.OUTER_CUP, incomparable,
-                               relaxed=True))
+    a = len(_relative_chain_dp(*_radial(p, ConvexBody.point(right)), -1,
+                               comparable))
+    b = len(_relative_chain_dp(*_radial(p, ConvexBody.point(left)), -1,
+                               comparable))
+    around_base = _radial(p, base)
+    w = len(_relative_chain_dp(*around_base, -1, incomparable))
+    z = len(_relative_chain_dp(*around_base, 1, incomparable))
     return CellProfile(h=dw.h, v=dw.v, a=a, b=b, w=w, z=z)

@@ -5,6 +5,7 @@ is recomputed here from raw cross products over Fractions, and maxima are
 found by exhaustive subset enumeration.  Only usable at oracle scale.
 """
 
+from functools import cmp_to_key
 from itertools import combinations
 
 
@@ -206,6 +207,19 @@ def monotone_chain(pts):
         return chain
 
     return tuple(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+def radial_sort(pts, z):
+    """Points of one open half-plane at z in clockwise order around z, the
+    nearer first on one ray: a comparator sort on the cross products above
+    (b follows a when it lies clockwise of a, seen from z)."""
+    def dist(p):
+        return (p.x - z.x) ** 2 + (p.y - z.y) ** 2
+
+    def before(a, b):
+        return cross(z, a, b) or dist(a) - dist(b)
+
+    return sorted(pts, key=cmp_to_key(before))
 
 
 def point_in_hull_closed(p, pts):

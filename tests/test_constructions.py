@@ -132,6 +132,22 @@ class TestCombineFlat:
                 outcomes.add((want, expect))
         assert len(outcomes) == 4
 
+    @pytest.mark.parametrize("l, m, n", [(3, 6, 6), (4, 6, 6), (5, 6, 5)])
+    def test_top_level_placement_holds_for_all_pairs(self, l, m, n):
+        # the docstring's property over every pair of each part, on Fraction
+        # cross products; the check inside combine_flat tests only pairs of
+        # hull vertices.  The output lists the left part first.
+        left, right = build_free_set(l, m - 1, n), build_free_set(l, m, n - 1)
+        out = combine_flat(left, right)
+        assert out == build_free_set(l, m, n)
+        k = len(left)
+        left, right = (sorted(part, key=lambda p: (p.x, p.y))
+                       for part in (out[:k], out[k:]))
+        assert all(oracles.cross(p, q, r) > 0
+                   for p, q in combinations(left, 2) for r in right)
+        assert all(oracles.cross(p, q, r) < 0
+                   for p, q in combinations(right, 2) for r in left)
+
 
 class TestBuildFreeSet:
     def test_3_4_4(self):

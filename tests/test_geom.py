@@ -174,7 +174,8 @@ class TestConvexHull:
 
     @given(hull_inputs())
     def test_matches_fraction_monotone_chain(self, pts):
-        # the vertex order is pinned: separating_axis walks hull edges in it
+        # the vertex order is pinned: ConvexBody.polygon keeps it, and the
+        # relative layer's tangent key is measured around its first vertex
         assert convex_hull(pts) == oracles.monotone_chain(pts)
 
     @given(hull_inputs(), st.builds(Point, big_frac, big_frac))

@@ -4,17 +4,19 @@ from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cupcap import (AvoidanceError, ConvexBody, OrderViolation, Point,
                     PointSet, SeparationError, TripleKind, cell_profile,
                     check_selection_tuples, classify_triple, conv_order,
-                    dilworth, find_fat_cap, is_convex_position,
-                    longest_inner_cap, longest_outer_cup, populate_support,
-                    radial_order, support_regions, transversal_check)
+                    dilworth, find_fat_cap, hulls_strictly_disjoint,
+                    is_convex_position, longest_inner_cap, longest_outer_cup,
+                    populate_support, radial_order, support_regions,
+                    transversal_check)
 from cupcap.geom import (convex_hull, cross_sign, int_coords,
                          point_in_convex_hull)
-from cupcap.relative import (_line_misses, _relative_chain_dp,
-                             _relaxed_radial_order)
+from cupcap.relative import _line_misses, _radial, _relative_chain_dp
 
 import oracles
 from conftest import random_point_set
@@ -78,10 +80,23 @@ def make_separated_instance(rng, n, body_kind):
         pts.add((rng.randrange(-9, 10), rng.randrange(1, 25)))
     ps = PointSet.of(sorted(pts))
     try:
-        _relaxed_radial_order(ps, body)
+        _radial(ps, body)
     except SeparationError:
         return None, None
     return ps, body
+
+
+def relaxed_order(ps, body):
+    """The radial order that needs only separation, as points."""
+    return [ps[i] for i in _radial(ps, body)[0]]
+
+
+def relaxed_chain(pts, body, pair_ok):
+    """The relaxed inner-cap chain DP on ``pts`` under a pair filter on
+    points, as points."""
+    chain = _relative_chain_dp(*_radial(pts, body), -1,
+                               lambda i, j: pair_ok(pts[i], pts[j]))
+    return [pts[i] for i in chain]
 
 
 def mutually_separable(p, q, body):
@@ -95,6 +110,48 @@ def turn_kind(a, b, c):
     """The chain DP's reading of a radially ordered triple's turn."""
     return {-1: TripleKind.INNER_CAP, 0: TripleKind.COLLINEAR,
             1: TripleKind.OUTER_CUP}[cross_sign(a, b, c)]
+
+
+small_pair = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+big_frac = st.builds(Fraction, st.integers(-2**100, 2**100),
+                     st.integers(1, 2**100))
+positive_frac = st.builds(Fraction, st.integers(1, 2**100),
+                          st.integers(1, 2**100))
+
+
+@st.composite
+def hull_pairs(draw):
+    """Two lists of 1 to 4 points (points, segments, polygons): generic
+    rationals up to 2**100, or small integer pairs under a per-axis map with
+    such rationals, with a shared vertex, a point on a segment between two
+    points of the first list, or collinear segments that overlap, touch or
+    miss."""
+    kind = draw(st.sampled_from(
+        ["generic", "small", "shared", "on_edge", "collinear"]))
+    if kind == "generic":
+        pts = st.lists(st.builds(Point, big_frac, big_frac),
+                       min_size=1, max_size=4)
+        return draw(pts), draw(pts)
+    a = draw(st.lists(small_pair, min_size=1, max_size=4))
+    b = draw(st.lists(small_pair, min_size=1, max_size=4))
+    if kind == "shared":
+        b.append(draw(st.sampled_from(a)))
+    elif kind == "on_edge":
+        (ux, uy), (wx, wy) = draw(st.sampled_from(a)), draw(st.sampled_from(a))
+        t = draw(st.fractions(0, 1, max_denominator=5))
+        b.append((ux + t * (wx - ux), uy + t * (wy - uy)))
+    elif kind == "collinear":
+        (ox, oy), (dx, dy) = draw(small_pair), draw(small_pair)
+        s = [draw(st.integers(-4, 4)) for _ in range(4)]
+        ends = [(ox + k * dx, oy + k * dy) for k in s]
+        a, b = ends[:2], ends[2:]
+    sx, sy = draw(positive_frac), draw(positive_frac)
+    tx, ty = draw(big_frac), draw(big_frac)
+
+    def image(pairs):
+        return [Point(sx * x + tx, sy * y + ty) for x, y in pairs]
+
+    return image(a), image(b)
 
 
 class TestSupportRegions:
@@ -288,9 +345,60 @@ class TestRadialOrder:
             ref = body.vertices[0]
             by_turn = sorted(ps, key=cmp_to_key(
                 lambda a, b: cross_sign(a, b, ref)))
-            assert _relaxed_radial_order(ps, body) == radial_order(ps, body) \
+            assert relaxed_order(ps, body) == radial_order(ps, body) \
                 == by_turn
             done += 1
+
+    def test_relaxed_order_matches_fraction_reference(self):
+        # against oracles.radial_sort around body.vertices[0], with points
+        # planted beyond a member on its ray from that vertex (the distance
+        # tie-break), and under a per-axis map to about 2**90
+        rng = random.Random(47)
+        big = 1 << 90
+        for kind in BODY_KINDS:
+            done = 0
+            while done < 10:
+                ps, body = make_separated_instance(rng, 7, kind)
+                if ps is None:
+                    continue
+                z, q = body.vertices[0], rng.choice(ps)
+                plants = [Point(z.x + t * (q.x - z.x), z.y + t * (q.y - z.y))
+                          for t in (Fraction(3, 2), Fraction(2), Fraction(3))]
+                planted = PointSet(dict.fromkeys([*ps, *plants]))
+                sx, sy = (Fraction(rng.randrange(1, big),
+                                   rng.randrange(1, big)) for _ in range(2))
+                tx, ty = (Fraction(rng.randrange(-big, big),
+                                   rng.randrange(1, big)) for _ in range(2))
+
+                def image(p):
+                    return Point(sx * p.x + tx, sy * p.y + ty)
+
+                scaled = PointSet(image(p) for p in planted)
+                scaled_body = ConvexBody(tuple(map(image, body.vertices)))
+                for pts, b in ((ps, body), (planted, body),
+                               (scaled, scaled_body)):
+                    assert relaxed_order(pts, b) == \
+                        oracles.radial_sort(pts, b.vertices[0]), (pts, b)
+                done += 1
+
+    @pytest.mark.parametrize("pairs, z", [
+        ([(5, 2), (8, 2), (8, 8), (8, 9)], (-1, -2)),
+        ([(-6, 4), (-5, 11), (-4, 10)], (8, -3)),
+        ([(-7, 9), (-6, 3), (-4, 2)], (5, -3)),
+    ])
+    def test_relaxed_order_separates_close_tangents(self, pairs, z):
+        # two tangents here differ by less than 1/D for the largest
+        # denominator D, so a key scale of about D, not D**2, misorders them
+        ps, body = PointSet.of(pairs), ConvexBody.point(pt(*z))
+        assert relaxed_order(ps, body) == oracles.radial_sort(ps, pt(*z))
+
+
+class TestHullsStrictlyDisjoint:
+    @given(hull_pairs())
+    def test_matches_oracle(self, pair):
+        a, b = pair
+        assert hulls_strictly_disjoint(a, b) == (not oracles._hulls_meet(a, b))
+        assert hulls_strictly_disjoint(b, a) == hulls_strictly_disjoint(a, b)
 
 
 class TestClassifyTriple:
@@ -369,7 +477,7 @@ class TestClassifyTriple:
                 ps, body = make_separated_instance(rng, 8, kind)
                 if ps is None:
                     continue
-                order = _relaxed_radial_order(ps, body)
+                order = relaxed_order(ps, body)
                 for a, b, c in combinations(order, 3):
                     if mutually_separable(a, b, body) and \
                             mutually_separable(b, c, body):
@@ -678,16 +786,12 @@ class TestObservations:
             try:
                 inst_l = conv_order(PointSet(left_pts), b_left)
                 inst_r = conv_order(PointSet(right_pts), b_right)
-                y_left = _relative_chain_dp(
+                y_left = relaxed_chain(
                     PointSet(left_pts), ConvexBody.point(shared),
-                    TripleKind.INNER_CAP,
-                    lambda p, q: inst_l.less(p, q) or inst_l.less(q, p),
-                    relaxed=True)
-                y_right = _relative_chain_dp(
+                    lambda p, q: inst_l.less(p, q) or inst_l.less(q, p))
+                y_right = relaxed_chain(
                     PointSet(right_pts), ConvexBody.point(shared),
-                    TripleKind.INNER_CAP,
-                    lambda p, q: inst_r.less(p, q) or inst_r.less(q, p),
-                    relaxed=True)
+                    lambda p, q: inst_r.less(p, q) or inst_r.less(q, p))
             except ValueError:
                 continue
             union = list(dict.fromkeys(y_left + y_right))
@@ -711,14 +815,12 @@ class TestObservations:
             try:
                 inst1 = conv_order(PointSet(g1), b1)
                 inst3 = conv_order(PointSet(g3), b3)
-                s1 = _relative_chain_dp(
-                    PointSet(g1), b1, TripleKind.INNER_CAP,
-                    lambda p, q: not inst1.less(p, q) and not inst1.less(q, p),
-                    relaxed=True)
-                s3 = _relative_chain_dp(
-                    PointSet(g3), b3, TripleKind.INNER_CAP,
-                    lambda p, q: not inst3.less(p, q) and not inst3.less(q, p),
-                    relaxed=True)
+                s1 = relaxed_chain(
+                    PointSet(g1), b1,
+                    lambda p, q: not inst1.less(p, q) and not inst1.less(q, p))
+                s3 = relaxed_chain(
+                    PointSet(g3), b3,
+                    lambda p, q: not inst3.less(p, q) and not inst3.less(q, p))
             except ValueError:
                 continue
             union = list(dict.fromkeys(s1 + s3))
