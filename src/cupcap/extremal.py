@@ -2,7 +2,8 @@
 
 Cups, caps, collinear runs, maximum convex-position subsets, and the
 pair-label / grid-poset down-set machinery built on top of the cup/cap
-dynamic program.
+dynamic program.  One backward walker, ``_chain_backward``, takes cup, cap
+and convex-polygon witnesses out of their pair tables.
 
 Conventions:
 
@@ -352,42 +353,31 @@ def _edges_by_angle(coords: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(e[3], e[4]) for e in keyed]
 
 
-def _anchor_polygon(coords: Sequence[tuple[int, int]], ai: int,
-                    cand: list[int], size: int) -> list[int]:
-    """A ``size``-gon in strict convex position whose (y, x)-lowest vertex
-    is ``ai`` (its other vertices, by index into ``coords``).
+def _anchor_sweep(edges, a: int, n: int, table=None) -> int:
+    """Vertices of the largest polygon whose (y, x)-lowest vertex is ``a``,
+    swept over ``edges`` (angular order, endpoints in ``range(n)``, none
+    below ``a``); 2 when there is none.
 
-    A chain DP over ``cand``, the later points in angular order around the
-    anchor b, nearer first on one ray; every consecutive turn, the closing
-    turn, and the turn at b itself are strict.  The polygon returned is the
-    first, in the DP's loop order, whose chain holds ``size`` vertices.
+    L[v] is the most vertices on a chain a -> ... -> v of edges taken in
+    sweep order.  Each edge u -> v either extends a chain to v or, when
+    v == a, closes a polygon of L[u] vertices.  Given ``table``, every edge
+    u -> v with L[u] > 0 writes ``table[u][v] = L[u]``.
     """
-    b = coords[ai]
-    c = len(cand)
-    # dp[u + 1][v]: vertices of the best chain anchor -> ... -> u -> v,
-    # u == -1 standing for the anchor itself.  dp[u + 1][v] and par are
-    # final once the outer loop reaches v.
-    dp = [[0] * c for _ in range(c + 1)]
-    par = [[-2] * c for _ in range(c + 1)]
-    for v in range(c):
-        dp[0][v] = 2
-    for v in range(c):
-        pv = coords[cand[v]]
-        for u in range(-1, v):
-            d = dp[u + 1][v]
-            if d == 0:
-                continue
-            pu = b if u == -1 else coords[cand[u]]
-            # close the polygon: the turn at v back toward the anchor must
-            # be strict (the turn at the anchor itself then is too, because
-            # chain angles are strictly increasing on [0, pi)).
-            if u >= 0 and d == size and int_cross(pu, pv, b) > 0:
-                return [cand[i] for i in _walk_parents(par, u, v)]
-            for w in range(v + 1, c):
-                if int_cross(pu, pv, coords[cand[w]]) > 0 and dp[v + 1][w] < d + 1:
-                    dp[v + 1][w] = d + 1
-                    par[v + 1][w] = u
-    raise AssertionError(f"no {size}-gon at anchor {ai}")  # pragma: no cover
+    L = [0] * n
+    L[a] = 1
+    size = 2
+    for u, v in edges:
+        lu = L[u]
+        if not lu:
+            continue
+        if table is not None:
+            table[u][v] = lu
+        if v == a:
+            if lu > size:
+                size = lu
+        elif lu >= L[v]:
+            L[v] = lu + 1
+    return size
 
 
 def max_convex_subset(ps: PointSet) -> StructureWitness:
@@ -397,11 +387,29 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
     vertex of the polygon, O(n^3) in all (Chvatal & Klincsek, 1980).  A
     polygon traversed counterclockwise from its lowest vertex has strictly
     increasing edge angles in [0, 2*pi), and a closed chain of such edges
-    is a polygon in strict convex position.  So, with L[v] the most
-    vertices on a chain a -> ... -> v of increasing edge angles, each edge
-    u -> v in angle order either extends a chain to v or, when v == a,
-    closes a polygon of L[u] vertices.  The witness is ``_anchor_polygon``
-    on the first anchor that reaches the maximum.
+    is a polygon in strict convex position (``_anchor_sweep``).
+
+    The witness comes from a second sweep on the first anchor a that
+    reaches the maximum M, over a's edge list renumbered by fan position:
+    a is 0 and its out-edges follow in ``_edges_by_angle`` order (angular
+    order around a, nearer first on a ray).  That sweep fills T[i][j] on
+    every pair.  With j the first fan position, and i the first below j,
+    such that T[i][j] == M - 1 and the turn (i, j, a) is left,
+    ``_chain_backward`` walks the polygon back to a.  The witness contract
+    is the polygon that the pair DP over the fan picks (chains in fan
+    order with left turns; the first M-gon in (j, i) order whose turn back
+    to a is left), and this walk yields it, because on every pair of a
+    chain that closes at a, T equals that DP's value less one:
+
+    * any sweep chain, extended by a closing suffix, has strictly
+      increasing edge angles in [0, 2*pi), so it is a convex polygon in
+      angular order, hence a pair-DP chain;
+    * every pair-DP chain is a sweep chain;
+    * closing edges v -> a are sorted by angle(v - a) + pi, nearer first
+      on a ray, which is the fan's order, so the first closing vertex is
+      the same in both;
+    * the walk takes the smallest predecessor with value d - 1 and a left
+      turn, which is the parent that the pair DP keeps.
     """
     if len(ps) < 3:
         raise ValueError("max_convex_subset needs at least 3 points")
@@ -413,41 +421,27 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
     for a in range(n - 2):
         if n - a <= best_size:
             break
-        L = [0] * n
-        L[a] = 1
-        size = best_size
-        for u, v in edges:
-            lu = L[u]
-            if not lu:
-                continue
-            if v == a:
-                if lu > size:
-                    size = lu
-            elif lu >= L[v]:
-                L[v] = lu + 1
+        size = _anchor_sweep(edges, a, n)
         if size > best_size:
-            # a's out-edges, in the angular order _anchor_polygon needs
-            fan = [v for u, v in edges if u == a]
-            best_size, best_anchor = size, a
+            best_size, best_anchor, best_edges = size, a, edges
         # later anchors use only the points after a
         edges = [(u, v) for u, v in edges if u != a and v != a]
     if best_anchor is None:
         members = [pts[0], pts[1]]
     else:
-        polygon = _anchor_polygon(coords, best_anchor, fan, best_size)
-        members = [pts[best_anchor]] + [pts[i] for i in polygon]
+        fan = [best_anchor] + [v for u, v in best_edges if u == best_anchor]
+        pos = {v: k for k, v in enumerate(fan)}
+        c = len(fan)
+        T = [[0] * c for _ in range(c)]
+        _anchor_sweep([(pos[u], pos[v]) for u, v in best_edges], 0, c, T)
+        fc = [coords[v] for v in fan]
+        polygon = next(
+            _chain_backward(fc, T, i, j, +1)
+            for j in range(2, c) for i in range(1, j)
+            if T[i][j] == best_size - 1 and int_cross(fc[i], fc[j], fc[0]) > 0)
+        members = [pts[fan[k]] for k in polygon]
     members.sort(key=lambda p: (p.x, p.y))
     return StructureWitness(WitnessKind.CONVEX_SUBSET, PointSet(members))
-
-
-def _walk_parents(par, u: int, v: int) -> list[int]:
-    """Chain of candidate indices ending (..., u, v); the anchor is implicit."""
-    rev = [v]
-    while u != -1:
-        rev.append(u)
-        u, v = par[u + 1][v], u
-    rev.reverse()
-    return rev
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +560,12 @@ def enumerate_downsets(a: int, b: int) -> list[DownSet]:
 
 def _chain_backward(coords, table, i: int, j: int, sign: int) -> list[int]:
     """A maximum chain ending at the pair (i, j), walked backward greedily
-    through the ending-label table."""
+    through a pair table of chain lengths ending at each pair: the cup/cap
+    label tables, or ``max_convex_subset``'s polygon table in fan order.
+
+    Each step takes the smallest h that turns ``sign`` at (h, i, j) and
+    holds one less than (i, j); the walk stops at a pair holding 1.
+    """
     chain = [j, i]
     while table[i][j] > 1:
         for h in range(i):
@@ -575,7 +574,7 @@ def _chain_backward(coords, table, i: int, j: int, sign: int) -> list[int]:
                 chain.append(h)
                 i, j = h, i
                 break
-        else:  # pragma: no cover - label tables are internally consistent
+        else:  # pragma: no cover - every walked pair table is consistent
             raise AssertionError("backward chain walk failed")
     chain.reverse()
     return chain

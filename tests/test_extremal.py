@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -199,6 +201,30 @@ class TestMaxConvexSubset:
             (1179235932, 4505875046400), (1193950996, 4510182355848),
             (1199469145, 4510253566247), (1208666060, 4510256456706),
             (1422975480, 1043192930), (1428230860, 0)])
+        # a seeded batch: spans 3-6, 20 and 2**70, dense grids of up to 30
+        # points, and a quarter of the sets under a per-axis map with
+        # rationals of about 2**90
+        rng = random.Random(1980)
+        digest = hashlib.sha256()
+        for k in range(200):
+            if k % 5 == 4:
+                span = rng.randrange(4, 7)
+                n = rng.randrange(12, min(span * span, 30) + 1)
+            else:
+                span = rng.choice([3, 4, 5, 6, 20, 1 << 70])
+                n = rng.randrange(3, min(span * span, 25) + 1)
+            ps = random_point_set(rng, n, span=span, distinct_x=False)
+            if k % 4 == 3:
+                sx, sy, tx, ty = (Fraction(rng.randrange(1, 1 << 90),
+                                           rng.randrange(1, 1 << 90))
+                                  for _ in range(4))
+                ps = PointSet.of([(p.x * sx + tx, p.y * sy - ty)
+                                  for p in ps])
+            members = max_convex_subset(ps).members
+            digest.update(";".join(f"{p.x},{p.y}" for p in members).encode()
+                          + b"\n")
+        assert digest.hexdigest() == (
+            "637b492581e91747c205b80d4a89c2dab4cdfdc58d316ea7d2074a1b5de89f2a")
 
 
 class TestPairLabels:
