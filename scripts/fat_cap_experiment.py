@@ -13,7 +13,8 @@ import argparse
 import math
 import random
 
-from cupcap import PointSet, find_fat_cap, populate_support, transversal_check
+from cupcap import (PointSet, check_selection_tuples, find_fat_cap,
+                    populate_support)
 
 
 def random_cloud(seed: int, n: int, span: int = 1 << 20) -> PointSet:
@@ -43,9 +44,11 @@ def main():
     for seed in range(args.seeds):
         ps = random_cloud(seed, args.points)
         cap, occ = find_fat_cap(ps, args.k, seed=seed, budget=args.budget)
-        counts = populate_support(ps, cap).counts[:args.k - 1]
-        rep = transversal_check(ps, cap, sample_budget=args.sample_budget,
-                                seed=seed)
+        chain_regions = populate_support(ps, cap).members[:args.k - 1]
+        counts = [len(m) for m in chain_regions]
+        rep = check_selection_tuples(chain_regions,
+                                     sample_budget=args.sample_budget,
+                                     seed=seed)
         total = math.prod(counts)
         print(f"{seed:>5} {occ:>8} {str(list(counts)):>24} {total:>10} "
               f"{rep.mode:>10} {rep.violations:>10}")

@@ -20,7 +20,8 @@ from .constructions import build_convex_free, build_free_set, verify_constructio
 from .extremal import (find_structure, longest_cap, longest_cup,
                        max_collinear, max_convex_subset)
 from .geom import PointSet, shear_distinct_x
-from .relative import find_fat_cap, populate_support, transversal_check
+from .relative import (check_selection_tuples, find_fat_cap,
+                       populate_support)
 
 _BOUNDS_KEYS = ("c", "c1", "big_c", "epsilon")
 _RUN_KEYS = ("seed", "sample_budget", "search_budget")
@@ -182,7 +183,7 @@ def _cmd_fat_cap(args, cfg: RunConfig) -> int:
                      else cfg.sample_budget)
     cap, min_occ = find_fat_cap(ps, args.k, seed=seed, budget=budget)
     occ = populate_support(ps, cap)
-    rep = transversal_check(ps, cap, sample_budget=sample_budget, seed=seed)
+    rep = check_selection_tuples(occ.members[:args.k - 1], sample_budget, seed)
     payload = {
         "k": args.k,
         "cap": _points_json(cap),

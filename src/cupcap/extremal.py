@@ -355,13 +355,14 @@ def _edges_by_angle(coords: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _anchor_sweep(edges, a: int, n: int, table=None) -> int:
     """Vertices of the largest polygon whose (y, x)-lowest vertex is ``a``,
-    swept over ``edges`` (angular order, endpoints in ``range(n)``, none
-    below ``a``); 2 when there is none.
+    swept over ``edges`` (angular order, endpoints in ``range(n)``); 2 when
+    there is none.
 
     L[v] is the most vertices on a chain a -> ... -> v of edges taken in
-    sweep order.  Each edge u -> v either extends a chain to v or, when
-    v == a, closes a polygon of L[u] vertices.  Given ``table``, every edge
-    u -> v with L[u] > 0 writes ``table[u][v] = L[u]``.
+    sweep order, never labelling a point below a.  Each edge u -> v either
+    extends a chain to v > a or, when v == a, closes a polygon of L[u]
+    vertices.  Given ``table``, every edge u -> v with L[u] > 0 writes
+    ``table[u][v] = L[u]``.
     """
     L = [0] * n
     L[a] = 1
@@ -375,7 +376,7 @@ def _anchor_sweep(edges, a: int, n: int, table=None) -> int:
         if v == a:
             if lu > size:
                 size = lu
-        elif lu >= L[v]:
+        elif v > a and lu >= L[v]:
             L[v] = lu + 1
     return size
 
@@ -423,12 +424,11 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
             break
         size = _anchor_sweep(edges, a, n)
         if size > best_size:
-            best_size, best_anchor, best_edges = size, a, edges
-        # later anchors use only the points after a
-        edges = [(u, v) for u, v in edges if u != a and v != a]
+            best_size, best_anchor = size, a
     if best_anchor is None:
         members = [pts[0], pts[1]]
     else:
+        best_edges = [e for e in edges if min(e) >= best_anchor]
         fan = [best_anchor] + [v for u, v in best_edges if u == best_anchor]
         pos = {v: k for k, v in enumerate(fan)}
         c = len(fan)

@@ -17,8 +17,11 @@ All predicates are exact.  Each radial-order call (``radial_order``, the
 inner-cap / outer-cup chains and ``cell_profile``'s chains) normalises the
 points and the body once, with ``int_coords``, and finds the separating
 axis, the tangent order and the chain DP's turn signs on that one integer
-array (``_radial``, ``_relative_chain_dp``).  ``classify_triple`` keeps the
-hull definitions as the reference.  Randomized search is deterministic.
+array (``_radial``, ``_relative_chain_dp``).  Support regions are turn
+signs against a cup's or cap's edges on one such array (``_support_masks``).
+``classify_triple`` keeps the hull definitions and ``support_regions`` the
+``Fraction`` half-planes as the references.  Randomized search is
+deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -183,49 +185,54 @@ class SupportOccupancy:
         return tuple(len(m) for m in self.members)
 
 
+def _coord_array(coords: Sequence[tuple[int, int]]) -> np.ndarray:
+    """``int_coords`` as an n x 2 array: int64 below 2**20, where every cross
+    product fits, and exact Python ints (``dtype=object``) above."""
+    big = any(v >> 20 for xy in coords for v in xy)
+    return np.array(coords, dtype=object if big else np.int64)
+
+
+def _chain_sign(coords: Sequence[tuple[int, int]],
+                chain: Sequence[int]) -> int:
+    """+1 when ``coords[chain]`` (x order) is a cup, -1 for a cap, else 0."""
+    t = [int_cross(coords[a], coords[b], coords[c])
+         for a, b, c in zip(chain, chain[1:], chain[2:])]
+    return 1 if min(t) > 0 else -1 if max(t) < 0 else 0
+
+
+def _support_masks(c: np.ndarray, chain: Sequence[int], s: int) -> np.ndarray:
+    """Membership of each row of ``c`` in the k support regions of the cup
+    (s = +1) or cap (s = -1) ``c[chain]`` (x order), as a k x n bool array.
+
+    With its closing edge the chain is a strictly convex polygon, traversed
+    counterclockwise for a cup and clockwise for a cap, so its interior and
+    centroid lie strictly on side s of each directed edge e_i = v_i v_{i+1}
+    (e_{k-1} = v_{k-1} v_0).  With side_i(q) = s * cross(e_i, q), the
+    centroid test of ``support_regions`` makes region i side_i < 0,
+    side_{i-1} > 0 and side_{i+1} > 0; ``int_coords`` keeps every sign.
+    """
+    v = c[list(chain)]
+    d = np.roll(v, -1, axis=0) - v
+    side = s * (d[:, :1] * (c[:, 1] - v[:, 1:])
+                - d[:, 1:] * (c[:, 0] - v[:, :1]))
+    return ((side < 0) & (np.roll(side, 1, axis=0) > 0)
+            & (np.roll(side, -1, axis=0) > 0))
+
+
 def populate_support(p: PointSet, x: PointSet) -> SupportOccupancy:
     """Exact membership of every point of p in every support region of x."""
-    regions = support_regions(x)
-    members = tuple(
-        tuple(q for q in p if region.contains(q)) for region in regions)
-    return SupportOccupancy(tuple(regions), members)
+    regions = tuple(support_regions(x))
+    n = len(p)
+    coords = int_coords([*p, *sorted(x, key=lambda q: q.x)])
+    chain = range(n, len(coords))
+    masks = _support_masks(_coord_array(coords), chain,
+                           _chain_sign(coords, chain))[:, :n]
+    return SupportOccupancy(regions, tuple(
+        tuple(p[j] for j in np.flatnonzero(row).tolist()) for row in masks))
 
 
 # ---------------------------------------------------------------------------
 # fat-cap search
-
-
-def _region_line_ints(region: SupportRegion) -> list[tuple[int, int, int]]:
-    out = []
-    for h in region.halfplanes:
-        s = math.lcm(h.a.denominator, h.b.denominator, h.c.denominator)
-        out.append((int(h.a * s), int(h.b * s), int(h.c * s)))
-    return out
-
-
-def _min_chain_occupancy(coords: Sequence[tuple[int, int]],
-                         cap_idx: Sequence[int],
-                         xs: Optional[np.ndarray],
-                         ys: Optional[np.ndarray]) -> int:
-    cap_pts = PointSet(Point(Fraction(coords[i][0]), Fraction(coords[i][1]))
-                       for i in cap_idx)
-    regions = support_regions(cap_pts)
-    k = len(cap_idx)
-    best = None
-    for region in regions[:k - 1]:
-        lines = _region_line_ints(region)
-        if xs is not None:
-            mask = np.ones(len(coords), dtype=bool)
-            for a, b, c in lines:
-                mask &= (a * xs + b * ys + c) > 0
-            count = int(mask.sum())
-        else:
-            count = 0
-            for px, py in coords:
-                if all(a * px + b * py + c > 0 for a, b, c in lines):
-                    count += 1
-        best = count if best is None else min(best, count)
-    return best if best is not None else 0
 
 
 def find_fat_cap(p: PointSet, k: int, seed: int,
@@ -248,32 +255,22 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
     if any(a.x == b.x for a, b in zip(pts, pts[1:])):
         raise ValueError("fat-cap search needs distinct x-coordinates")
     coords = int_coords(pts)
-    # halfplane coefficients stay below ~4*max|coord|^2, far from int64 overflow
-    use_np = max(max(abs(cx), abs(cy)) for cx, cy in coords) < (1 << 20)
-    xs = np.array([c[0] for c in coords], dtype=np.int64) if use_np else None
-    ys = np.array([c[1] for c in coords], dtype=np.int64) if use_np else None
+    c = _coord_array(coords)
 
     rng = random.Random(seed)
     sample_size = min(n, max(12, 2 * k))
+    # at most max(8, budget) samples, drawn lazily up to the budget-th chain
+    samples = (sorted(rng.sample(range(n), sample_size))
+               for _ in range(max(8, budget)))
+    chains = ((combo, s) for sample in samples
+              for combo in itertools.combinations(sample, k)
+              if (s := _chain_sign(coords, combo)))
     best_idx: Optional[tuple[int, ...]] = None
     best_occ = -1
-    evaluated = 0
-    rounds = 0
-    max_rounds = max(8, budget)
-    while evaluated < budget and rounds < max_rounds:
-        rounds += 1
-        sample = sorted(rng.sample(range(n), sample_size))
-        for combo in itertools.combinations(sample, k):
-            cpts = [pts[i] for i in combo]
-            if not (is_cup(cpts) or is_cap(cpts)):
-                continue
-            occ = _min_chain_occupancy(coords, combo, xs, ys)
-            evaluated += 1
-            if occ > best_occ:
-                best_occ = occ
-                best_idx = combo
-            if evaluated >= budget:
-                break
+    for combo, s in itertools.islice(chains, max(budget, 0)):
+        occ = int(_support_masks(c, combo, s)[:k - 1].sum(axis=1).min())
+        if occ > best_occ:
+            best_occ, best_idx = occ, combo
     if best_idx is None:
         raise ValueError(
             f"no {k}-cup or {k}-cap found within the search budget")
@@ -304,32 +301,33 @@ def check_selection_tuples(groups: Sequence[Sequence[Point]],
     Exhaustive when the tuple count is at most ``sample_budget``, otherwise
     seeded uniform sampling of that many tuples.  Returns the first
     violating tuple as a counterexample when one is found; empty groups
-    make the check vacuous (zero tuples).
+    make the check vacuous (zero tuples).  Tuples are decided as by
+    ``is_convex_position``, with ``int_hull`` on one ``int_coords`` array.
     """
     groups = [list(g) for g in groups]
     total = math.prod(len(g) for g in groups)
     if total == 0:
         return TransversalReport(True, "exhaustive", 0, 0, None)
-    violations = 0
-    counterexample = None
+    flat = [q for g in groups for q in g]
+    coords = int_coords(flat)
+    index_groups = [range(e - len(g), e) for e, g in
+                    zip(itertools.accumulate(map(len, groups)), groups)]
     if total <= sample_budget:
-        checked = total
-        for tup in itertools.product(*groups):
-            if not is_convex_position(tup):
-                violations += 1
-                if counterexample is None:
-                    counterexample = tuple(tup)
-        return TransversalReport(violations == 0, "exhaustive", checked,
-                                 violations, counterexample)
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
-        tup = tuple(g[rng.randrange(len(g))] for g in groups)
-        if not is_convex_position(tup):
+        mode, checked = "exhaustive", total
+        tuples = itertools.product(*index_groups)
+    else:
+        mode, checked = "sampled", sample_budget
+        rng = random.Random(seed)
+        tuples = (tuple(g[rng.randrange(len(g))] for g in index_groups)
+                  for _ in range(sample_budget))
+    violations, counterexample = 0, None
+    for tup in tuples:
+        if len(tup) > 2 and len(int_hull(coords[i] for i in tup)) < len(tup):
             violations += 1
             if counterexample is None:
-                counterexample = tup
-    return TransversalReport(violations == 0, "sampled", sample_budget,
-                             violations, counterexample)
+                counterexample = tuple(flat[i] for i in tup)
+    return TransversalReport(violations == 0, mode, checked, violations,
+                             counterexample)
 
 
 def transversal_check(p: PointSet, x: PointSet, sample_budget: int,

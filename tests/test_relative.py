@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cupcap import (AvoidanceError, ConvexBody, OrderViolation, Point,
@@ -16,7 +16,8 @@ from cupcap import (AvoidanceError, ConvexBody, OrderViolation, Point,
                     transversal_check)
 from cupcap.geom import (convex_hull, cross_sign, int_coords,
                          point_in_convex_hull)
-from cupcap.relative import _line_misses, _radial, _relative_chain_dp
+from cupcap.relative import (_coord_array, _line_misses, _radial,
+                             _relative_chain_dp)
 
 import oracles
 from conftest import random_point_set
@@ -154,6 +155,41 @@ def hull_pairs(draw):
     return image(a), image(b)
 
 
+@st.composite
+def chain_with_probes(draw, big):
+    """A 4- to 6-point cup or cap in shuffled order, probes spread around it
+    and probes on its edge lines.  Big: coordinates up to about 2**100 with
+    denominators up to 2**10; else small enough that the normalised
+    coordinates stay below 2**20."""
+    lim = 1 << 100 if big else 32
+    k = draw(st.integers(4, 6))
+    xs = sorted(draw(st.sets(st.integers(-lim, lim), min_size=k, max_size=k)))
+    slopes = sorted(draw(st.sets(st.integers(-lim // 4, lim // 4),
+                                 min_size=k - 1, max_size=k - 1)))
+    s = draw(st.sampled_from([1, -1]))
+    ys = [draw(st.integers(-lim, lim))]
+    for i in range(k - 1):
+        ys.append(ys[-1] + s * slopes[i] * (xs[i + 1] - xs[i]))
+    chain = [Point.of(x, y) for x, y in zip(xs, ys)]
+    den = 1 << 10 if big else 4
+    along_t = st.fractions(-1, 2, max_denominator=den)
+    off_u = st.fractions(-1, 1, max_denominator=den)
+
+    def along(a, b, t):
+        return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+    on_lines = [along(chain[i], chain[(i + 1) % k], draw(along_t))
+                for i in range(k)]
+    probes = []
+    for _ in range(draw(st.integers(1, 12))):
+        # from a point on edge line i, away from (< 0) or towards a vertex
+        # off that line
+        i = draw(st.integers(0, k - 1))
+        on_line = along(chain[i], chain[(i + 1) % k], draw(along_t))
+        probes.append(along(on_line, chain[(i + 2) % k], draw(off_u)))
+    return draw(st.permutations(chain)), probes, on_lines
+
+
 class TestSupportRegions:
     def test_four_regions_and_probe(self):
         regs = support_regions(CAP4)
@@ -221,6 +257,22 @@ class TestPopulate:
         occ = populate_support(ps, cap)
         assert sum(occ.counts) <= len(ps)
 
+    @pytest.mark.parametrize("big", [False, True])
+    @given(data=st.data())
+    def test_matches_fraction_regions(self, big, data):
+        """The integer turn-sign regions equal the Fraction half-plane
+        regions, on the int64 path (small) and the exact-int path (big);
+        a point on an edge line lies in no region."""
+        chain, probes, on_lines = data.draw(chain_with_probes(big))
+        p = PointSet(dict.fromkeys(probes + on_lines))
+        x = PointSet(chain)
+        c = _coord_array(int_coords([*p, *x]))
+        assume((c.dtype == object) == big)
+        occ = populate_support(p, x)
+        assert occ.members == tuple(tuple(q for q in p if r.contains(q))
+                                    for r in support_regions(x))
+        assert not set(on_lines) & {q for m in occ.members for q in m}
+
 
 class TestFindFatCap:
     def test_deterministic(self):
@@ -236,6 +288,19 @@ class TestFindFatCap:
         cap, occ = find_fat_cap(ps, 4, seed=2, budget=40)
         assert occ >= 1
         assert len(cap) == 4
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_big_coordinates(self, k):
+        """On 70-bit coordinates (the exact-int path) the occupancy is the
+        Fraction regions' minimum count, and transversals hold."""
+        ps = random_point_set(random.Random(70 + k), 300, span=1 << 70)
+        assert _coord_array(int_coords(list(ps))).dtype == object
+        cap, occ = find_fat_cap(ps, k, seed=k, budget=30)
+        regs = support_regions(cap)
+        assert occ == min(sum(r.contains(q) for q in ps) for r in regs[:k - 1])
+        assert occ >= 1
+        rep = transversal_check(ps, cap, sample_budget=2000, seed=k)
+        assert rep.violations == 0, rep.counterexample
 
     def test_exact_cap_input(self):
         cap5 = PointSet.of([(i, -(i - 2) ** 2) for i in range(5)])
@@ -280,6 +345,34 @@ class TestTransversal:
         rep = check_selection_tuples(groups, sample_budget=5, seed=0)
         assert rep.mode == "sampled"
         assert not rep.ok
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_checker_matches_is_convex_position(self, seed):
+        """Violations are the checked tuples that fail is_convex_position,
+        and the counterexample is the first of them, in both modes.  Groups
+        on a 4 x 4 grid carry collinear triples and shared points; two
+        groups give pairs, which are always convex."""
+        rng = random.Random(seed)
+        grid = [pt(x, y) for x in range(4) for y in range(4)]
+        groups = [rng.sample(grid, rng.randrange(1, 5))
+                  for _ in range(2 + seed % 3)]
+        groups[-1].append(groups[0][0])  # a point shared by two groups
+        for budget in (10_000, 7):
+            rep = check_selection_tuples(groups, budget, seed)
+            tuples = list(product(*groups))
+            exhaustive = len(tuples) <= budget
+            if not exhaustive:
+                draw = random.Random(seed)
+                tuples = [tuple(g[draw.randrange(len(g))] for g in groups)
+                          for _ in range(budget)]
+            bad = [t for t in tuples if not is_convex_position(t)]
+            assert rep.mode == ("exhaustive" if exhaustive else "sampled")
+            assert rep.checked == len(tuples)
+            assert rep.violations == len(bad)
+            assert rep.counterexample == (bad[0] if bad else None)
+            assert rep.ok == (not bad)
+            if len(groups) > 2 and exhaustive:
+                assert bad  # the shared point repeats in some tuple
 
     def test_planted_segment_point_cannot_reach_regions(self):
         # Any two points in support regions have the whole segment between
