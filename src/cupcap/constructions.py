@@ -131,26 +131,19 @@ def _pow2_at_most(value: Fraction) -> Fraction:
     return Fraction(1, 1 << k)
 
 
-def _hull_pairs_side(upper: Sequence[Point], lower: Sequence[Point],
-                     want_sign: int) -> bool:
-    """Exact check that every strict hull vertex r of ``lower`` lies
-    strictly on one side of every line through two strict hull vertices
-    p < q (in (x, y) order) of ``upper``: the turn (p, q, r) has sign
-    ``want_sign``.
-
-    Only hull vertices are tested.  That covers every point of ``lower``
-    (the turn is affine in r), but not every pair of ``upper``: a steep
-    pair inside conv(upper) can have a point of ``lower`` on its other side.
-    """
-    c = int_coords([*upper, *lower])
-    k = len(upper)
-    return _int_hulls_side(int_hull(c[:k]), int_hull(c[k:]), want_sign)
-
-
 def _int_hulls_side(hu: Sequence[tuple[int, int]],
                     hl: Sequence[tuple[int, int]], want_sign: int) -> bool:
-    """``_hull_pairs_side`` on ``int_hull``s of one ``int_coords`` array,
-    whose positive per-axis map keeps the (x, y) order and turn signs."""
+    """Exact check that every strict hull vertex r of the lower part lies
+    strictly on one side of every line through two strict hull vertices
+    p < q (in (x, y) order) of the upper part: the turn (p, q, r) has sign
+    ``want_sign``.  ``hu`` and ``hl`` are the parts' ``int_hull``s from one
+    ``int_coords`` array, whose positive per-axis map keeps the (x, y)
+    order and turn signs.
+
+    Only hull vertices are tested.  That covers every point of the lower
+    part (the turn is affine in r), but not every pair of the upper: a
+    steep pair inside its hull can have a lower point on its other side.
+    """
     for i in range(len(hu)):
         for j in range(i + 1, len(hu)):
             p, q = hu[i], hu[j]
@@ -216,12 +209,14 @@ def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     point of the left part.  Consequently a cup can use at most one
     right-part point after two left-part points (and the mirror for caps),
     and no collinear triple spans both parts.  The exact check
-    (``_hull_pairs_side``) tests only lines through two hull vertices of
+    (``_int_hulls_side``) tests only lines through two hull vertices of
     one part, against every point of the other; ``--cert``
     (``verify_construction``) recomputes every bound of the result.
 
     The vertical scale starts from an analytic slope-bound guess and is
     halved until both checks pass, at most ``_MAX_ADAPT_ATTEMPTS`` times.
+    Each attempt normalises the union once (``int_coords``), checks both
+    parts' hulls on it, and returns those integer coordinates.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("combine_flat needs non-empty parts")
@@ -238,13 +233,12 @@ def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     guess = delta / (2 * h_max * max(x_max, Fraction(1)))
     t = _pow2_at_most(min(guess, Fraction(1)))
     for _ in range(_MAX_ADAPT_ATTEMPTS):
-        left = PointSet(Point(p.x, t * p.y) for p in a0)
-        right = PointSet(Point(p.x + wa + 1, t * p.y + t * ha + 1) for p in b0)
-        ok = (_hull_pairs_side(left.points, right.points, 1)
-              and _hull_pairs_side(right.points, left.points, -1))
-        if ok:
-            return normalize_integer_coords(
-                PointSet(list(left.points) + list(right.points)))
+        c = int_coords([*(Point(p.x, t * p.y) for p in a0),
+                        *(Point(p.x + wa + 1, t * p.y + t * ha + 1)
+                          for p in b0)])
+        hl, hr = int_hull(c[:len(a0)]), int_hull(c[len(a0):])
+        if _int_hulls_side(hl, hr, 1) and _int_hulls_side(hr, hl, -1):
+            return PointSet(Point(Fraction(x), Fraction(y)) for x, y in c)
         t = t / 2
     raise ConstructionError(
         f"flat placement did not verify within {_MAX_ADAPT_ATTEMPTS} "

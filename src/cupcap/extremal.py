@@ -2,8 +2,9 @@
 
 Cups, caps, collinear runs, maximum convex-position subsets, and the
 pair-label / grid-poset down-set machinery built on top of the cup/cap
-dynamic program.  One backward walker, ``_chain_backward``, takes cup, cap
-and convex-polygon witnesses out of their pair tables.
+dynamic program.  One backward walker, ``_chain_backward``, takes cup, cap,
+convex-polygon and relative-chain witnesses out of their pair tables, and
+one integer turn test, ``_chain_sign``, tells cups from caps.
 
 Conventions:
 
@@ -29,11 +30,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geom import (Point, PointSet, cross_sign, int_coords, int_cross,
-                   slope_scale)
+from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 
-# Above this coordinate magnitude the int64 fast path could overflow; the
-# exact big-integer path is used instead.  Results are identical.
+# Below this coordinate magnitude every cross product fits in int64: with
+# |coordinate| < 2**30, differences are below 2**31, each product of two
+# below 2**62 and their difference below 2**63.  The label tables and
+# ``relative._coord_array`` take the int64 path only there, and the exact
+# big-integer path above.  Results are identical.
 _INT64_COORD_LIMIT = 1 << 30
 # Below this size the plain-Python DP beats numpy's dispatch overhead.  On
 # 20-bit random sets (2-vCPU Xeon, numpy 2.4.6) it took 0.84-0.91 of
@@ -164,16 +167,22 @@ def _detection_tables(ps: PointSet):
 # cup / cap predicates and witnesses
 
 
+def _chain_sign(coords: Sequence[tuple[int, int]],
+                chain: Sequence[int]) -> int:
+    """+1 when ``coords[chain]`` (x order, at least 3 points) is a cup, -1
+    for a cap, else 0."""
+    t = [int_cross(coords[a], coords[b], coords[c])
+         for a, b, c in zip(chain, chain[1:], chain[2:])]
+    return 1 if min(t) > 0 else -1 if max(t) < 0 else 0
+
+
 def _is_chain(points: Sequence[Point], sign: int) -> bool:
     """True iff the points, in x-order, turn ``sign`` at every consecutive
     triple (any input order; at least 2 points, distinct x)."""
-    pts = sorted(points, key=lambda p: p.x)
-    if len(pts) < 2:
+    c = sorted(int_coords(list(points)))
+    if len(c) < 2 or any(a[0] == b[0] for a, b in zip(c, c[1:])):
         return False
-    if any(a.x == b.x for a, b in zip(pts, pts[1:])):
-        return False
-    return all(cross_sign(pts[i], pts[i + 1], pts[i + 2]) == sign
-               for i in range(len(pts) - 2))
+    return len(c) == 2 or _chain_sign(c, range(len(c))) == sign
 
 
 def is_cup(points: Sequence[Point]) -> bool:
@@ -186,10 +195,10 @@ def is_cap(points: Sequence[Point]) -> bool:
 
 
 def is_collinear_run(points: Sequence[Point]) -> bool:
-    pts = list(points)
-    if len(pts) < 2:
-        return len(pts) == 1
-    return all(cross_sign(pts[0], pts[1], p) == 0 for p in pts[2:])
+    c = int_coords(list(points))
+    if len(c) < 2:
+        return len(c) == 1
+    return all(int_cross(c[0], c[1], r) == 0 for r in c[2:])
 
 
 @lru_cache(maxsize=32)
@@ -561,7 +570,8 @@ def enumerate_downsets(a: int, b: int) -> list[DownSet]:
 def _chain_backward(coords, table, i: int, j: int, sign: int) -> list[int]:
     """A maximum chain ending at the pair (i, j), walked backward greedily
     through a pair table of chain lengths ending at each pair: the cup/cap
-    label tables, or ``max_convex_subset``'s polygon table in fan order.
+    label tables, ``max_convex_subset``'s polygon table in fan order, or
+    ``relative._relative_chain_dp``'s table in radial order.
 
     Each step takes the smallest h that turns ``sign`` at (h, i, j) and
     holds one less than (i, j); the walk stops at a pair holding 1.

@@ -17,8 +17,12 @@ All predicates are exact.  Each radial-order call (``radial_order``, the
 inner-cap / outer-cup chains and ``cell_profile``'s chains) normalises the
 points and the body once, with ``int_coords``, and finds the separating
 axis, the tangent order and the chain DP's turn signs on that one integer
-array (``_radial``, ``_relative_chain_dp``).  Support regions are turn
-signs against a cup's or cap's edges on one such array (``_support_masks``).
+array (``_radial``, ``_relative_chain_dp``).  The chain DP fills a pair
+table of edge counts, as the cup/cap label tables do, and
+``extremal._max_label_pair`` and ``extremal._chain_backward`` read its
+witness out of it.  Support regions are turn signs against a cup's or
+cap's edges on one such array (``_support_masks``), with the chain's turn
+sign from ``extremal._chain_sign``.
 ``classify_triple`` keeps the hull definitions and ``support_regions`` the
 ``Fraction`` half-planes as the references.  Randomized search is
 deterministic.
@@ -35,7 +39,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .extremal import StructureWitness, WitnessKind, is_cap, is_cup
+from .extremal import (StructureWitness, WitnessKind, _chain_backward,
+                       _chain_sign, _int64_safe, _max_label_pair,
+                       _sorted_distinct_x, is_cap, is_cup)
 from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
                    int_coords, int_cross, int_hull, int_hull_contains,
                    is_convex_position, point_in_convex_hull,
@@ -186,18 +192,10 @@ class SupportOccupancy:
 
 
 def _coord_array(coords: Sequence[tuple[int, int]]) -> np.ndarray:
-    """``int_coords`` as an n x 2 array: int64 below 2**20, where every cross
-    product fits, and exact Python ints (``dtype=object``) above."""
-    big = any(v >> 20 for xy in coords for v in xy)
-    return np.array(coords, dtype=object if big else np.int64)
-
-
-def _chain_sign(coords: Sequence[tuple[int, int]],
-                chain: Sequence[int]) -> int:
-    """+1 when ``coords[chain]`` (x order) is a cup, -1 for a cap, else 0."""
-    t = [int_cross(coords[a], coords[b], coords[c])
-         for a, b, c in zip(chain, chain[1:], chain[2:])]
-    return 1 if min(t) > 0 else -1 if max(t) < 0 else 0
+    """``int_coords`` as an n x 2 array: int64 where every cross product
+    fits (``extremal._int64_safe``), and exact Python ints
+    (``dtype=object``) above."""
+    return np.array(coords, dtype=np.int64 if _int64_safe(coords) else object)
 
 
 def _support_masks(c: np.ndarray, chain: Sequence[int], s: int) -> np.ndarray:
@@ -251,9 +249,7 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
         raise ValueError("fat-cap search needs k >= 4")
     if n < k:
         raise ValueError("not enough points")
-    pts = sorted(p, key=lambda q: q.x)
-    if any(a.x == b.x for a, b in zip(pts, pts[1:])):
-        raise ValueError("fat-cap search needs distinct x-coordinates")
+    pts = _sorted_distinct_x(p)
     coords = int_coords(pts)
     c = _coord_array(coords)
 
@@ -456,7 +452,15 @@ def _relative_chain_dp(order: Sequence[int],
     whose consecutive triples turn with ``sign`` (-1: inner-cap, +1:
     outer-cup), by the cup/cap pair DP; optionally restricted to index
     pairs passing ``pair_ok``.  Takes and returns indices into the input,
-    as ``_radial`` gives them.
+    as ``_radial`` gives them; one point when no pair qualifies.
+
+    The DP fills T[j][k], for radial positions j < k, with the edge count
+    of the longest chain ending at the pair: 0 when the pair fails, else 1
+    extended by every i < j with T[i][j] >= T[j][k] that turns ``sign`` at
+    (i, j, k).  The witness ends at the first pair in (j, k) order that
+    holds the maximum (``_max_label_pair``), and ``_chain_backward`` walks
+    it back through the smallest i that reaches each value, the parent the
+    DP keeps.
 
     Both predicates are integer turn signs, exact because a line strictly
     separates P from the body K (``_radial`` checks it).  (i) A pair is
@@ -478,35 +482,20 @@ def _relative_chain_dp(order: Sequence[int],
     if n == 0:
         raise ValueError("empty point set")
     c = [coords[i] for i in order]
-    valid = {}
-    par: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
-    for j in range(n):
-        for i in range(j):
-            if (pair_ok is None or pair_ok(order[i], order[j])) and \
-                    _line_misses(c[i], c[j], verts):
-                valid[(i, j)] = 2
-                par[(i, j)] = None
-    for kk in range(n):
-        for j in range(kk):
-            if (j, kk) not in valid:
-                continue
-            for i in range(j):
-                if (i, j) not in valid:
-                    continue
-                if valid[(i, j)] + 1 > valid[(j, kk)] and \
-                        int_cross(c[i], c[j], c[kk]) * sign > 0:
-                    valid[(j, kk)] = valid[(i, j)] + 1
-                    par[(j, kk)] = (i, j)
-    if not valid:
+    T = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k):
+            if (pair_ok is None or pair_ok(order[j], order[k])) and \
+                    _line_misses(c[j], c[k], verts):
+                t = 1
+                for i in range(j):
+                    if T[i][j] >= t and int_cross(c[i], c[j], c[k]) * sign > 0:
+                        t = T[i][j] + 1
+                T[j][k] = t
+    _, best_pair = _max_label_pair(T, n)
+    if best_pair is None:
         return [order[0]]
-    best_pair = max(valid, key=lambda pr: (valid[pr], (-pr[0], -pr[1])))
-    chain = [best_pair[1], best_pair[0]]
-    cur = par[best_pair]
-    while cur is not None:
-        chain.append(cur[0])
-        cur = par[cur]
-    chain.reverse()
-    return [order[i] for i in chain]
+    return [order[i] for i in _chain_backward(c, T, *best_pair, sign)]
 
 
 def longest_inner_cap(p: PointSet, body: ConvexBody) -> StructureWitness:

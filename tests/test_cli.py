@@ -174,6 +174,18 @@ class TestFatCap:
         assert payload["min_occupancy"] == min(payload["occupancies"])
         assert payload["transversal"]["violations"] == 0
 
+    def test_equal_x_exits_2(self, tmp_path, capsys):
+        from cupcap import PointSet
+        from cupcap.espts import save_file
+        src = tmp_path / "p.pts"
+        save_file(PointSet.of([(0, 0), (1, 3), (1, 4), (2, 3), (3, 0)]),
+                  str(src))
+        rep = tmp_path / "fc.json"
+        assert run("fat-cap", "--in", str(src), "--k", "4",
+                   "--report", str(rep)) == 2
+        assert "not pairwise distinct" in capsys.readouterr().err
+        assert not rep.exists()
+
 
 class TestPlot:
     def test_svg_and_determinism(self, tmp_path):

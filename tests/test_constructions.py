@@ -10,8 +10,8 @@ from cupcap import (FlatPlacement, Point, PointSet,
                     free_set_size_bound, longest_cap_size, longest_cup_size,
                     max_collinear, normalize_integer_coords, orientation,
                     verify_construction)
-from cupcap.constructions import _hull_pairs_side
-from cupcap.geom import cross_sign
+from cupcap.constructions import _int_hulls_side
+from cupcap.geom import cross_sign, int_coords, int_hull
 
 import oracles
 
@@ -110,7 +110,8 @@ class TestCombineFlat:
     def test_hull_pairs_side_matches_fraction_hull_vertices(self):
         # every strict hull vertex of lower against every line through two
         # strict hull vertices of upper, each pair taken in (x, y) order, on
-        # Fraction cross products
+        # Fraction cross products; the integer check reads both hulls off
+        # one int_coords array
         rng = random.Random(31)
 
         def draw(k, dy):
@@ -126,9 +127,11 @@ class TestCombineFlat:
                                         key=lambda p: (p.x, p.y)), 2)
             crosses = [oracles.cross(p, q, r) for p, q in pairs
                        for r in oracles.monotone_chain(lower)]
+            c = int_coords([*upper, *lower])
+            hu, hl = int_hull(c[:len(upper)]), int_hull(c[len(upper):])
             for want in (1, -1):
                 expect = all(v * want > 0 for v in crosses)
-                assert _hull_pairs_side(upper, lower, want) == expect
+                assert _int_hulls_side(hu, hl, want) == expect
                 outcomes.add((want, expect))
         assert len(outcomes) == 4
 

@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -160,7 +162,7 @@ def chain_with_probes(draw, big):
     """A 4- to 6-point cup or cap in shuffled order, probes spread around it
     and probes on its edge lines.  Big: coordinates up to about 2**100 with
     denominators up to 2**10; else small enough that the normalised
-    coordinates stay below 2**20."""
+    coordinates stay below 2**30."""
     lim = 1 << 100 if big else 32
     k = draw(st.integers(4, 6))
     xs = sorted(draw(st.sets(st.integers(-lim, lim), min_size=k, max_size=k)))
@@ -272,6 +274,25 @@ class TestPopulate:
         assert occ.members == tuple(tuple(q for q in p if r.contains(q))
                                     for r in support_regions(x))
         assert not set(on_lines) & {q for m in occ.members for q in m}
+
+    def test_int64_bound(self):
+        """The int64 path of the support masks ends where the label
+        tables' does, at 2**30."""
+        assert _coord_array([(0, 0), ((1 << 30) - 1, 5)]).dtype == np.int64
+        assert _coord_array([(0, 0), (1 << 30, 5)]).dtype == object
+
+    def test_29_bit_cloud_matches_fraction_regions(self):
+        """A 29-bit cloud takes the int64 path, with the members of the
+        Fraction regions."""
+        ps = random_point_set(random.Random(29), 300, span=1 << 29)
+        c = _coord_array(int_coords(list(ps)))
+        assert c.dtype == np.int64 and int(c.max()) >= 1 << 28
+        for k in (4, 5):
+            cap, _ = find_fat_cap(ps, k, seed=k, budget=20)
+            occ = populate_support(ps, cap)
+            assert occ.members == tuple(tuple(q for q in ps if r.contains(q))
+                                        for r in support_regions(cap))
+            assert min(occ.counts[:k - 1]) >= 1
 
 
 class TestFindFatCap:
@@ -636,6 +657,48 @@ class TestLongestRelativeChains:
             assert oracles.is_inner_cap(list(inner.members), body.vertices)
             assert oracles.is_outer_cup(list(outer.members), body.vertices)
             done += 1
+
+    def test_witness_members_pinned(self):
+        """The members of the inner-cap and outer-cup witnesses on 200
+        seeded instances, and the cell profiles with their pair-filtered
+        chains on 20 cells.  The oracles check sizes only, so this pins the
+        chain DP's tie-breaks."""
+        rng = random.Random(1994)
+        digest = hashlib.sha256()
+
+        def pin(points):
+            digest.update(";".join(f"{p.x},{p.y}" for p in points).encode()
+                          + b"\n")
+
+        done = 0
+        while done < 200:
+            ps, body = make_valid_instance(rng, rng.randrange(6, 13),
+                                           ("point", "segment")[done % 2])
+            if ps is None:
+                continue
+            pin(longest_inner_cap(ps, body).members)
+            pin(longest_outer_cup(ps, body).members)
+            done += 1
+        cells = TestCellProfile
+        for _ in range(20):
+            pts, n = set(), rng.randrange(6, 13)
+            while len(pts) < n:
+                pts.add((rng.randrange(-9, 10), rng.randrange(2, 25)))
+            ps = PointSet.of(sorted(pts))
+            inst = conv_order(ps, cells.B)
+
+            def comparable(p, q):
+                return inst.less(p, q) or inst.less(q, p)
+
+            prof = cell_profile(ps, cells.LEFT, cells.RIGHT, cells.B)
+            digest.update(repr(prof).encode())
+            pin(relaxed_chain(ps, ConvexBody.point(cells.RIGHT), comparable))
+            for sign in (-1, 1):
+                pin(ps[i] for i in _relative_chain_dp(
+                    *_radial(ps, cells.B), sign,
+                    lambda i, j: not comparable(ps[i], ps[j])))
+        assert digest.hexdigest() == (
+            "dc31b379bbb63092fd304edced51b890210da77df45dc88b5ffef3dfe60bf710")
 
     def test_levelwise_oracle_matches_plain_enumeration(self):
         rng = random.Random(23)
