@@ -7,9 +7,8 @@ from .bounds import (BoundsConfig, bound_table, convex_forcing_lower,
                      convex_forcing_upper, cup_cap_threshold,
                      cup_cap_upper_bound, free_set_size_bound)
 from .constructions import (ConstructionCertificate, ConstructionError,
-                            FlatPlacement, build_base_capfree,
-                            build_base_cupfree, build_convex_free,
-                            build_free_set, combine_flat,
+                            build_base_capfree, build_base_cupfree,
+                            build_convex_free, build_free_set, combine_flat,
                             normalize_integer_coords, verify_construction)
 from .extremal import (DownSet, PairLabel, StructureWitness, WitnessKind,
                        count_downsets, downset_of, downsets_by_point,

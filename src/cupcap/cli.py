@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import espts
-from .bounds import BoundsConfig, bound_table
+from .bounds import (BoundsConfig, bound_table, convex_forcing_lower,
+                     free_set_size_bound)
 from .constructions import build_convex_free, build_free_set, verify_construction
-from .extremal import (find_structure, longest_cap, longest_cup,
-                       max_collinear, max_convex_subset)
+from .extremal import (_check_table_points, find_structure, longest_cap,
+                       longest_cup, max_collinear, max_convex_subset)
 from .geom import PointSet, shear_distinct_x
 from .relative import (check_selection_tuples, find_fat_cap,
                        populate_support)
@@ -36,7 +37,7 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
-        values: dict[str, str] = {}
+        cfg = RunConfig()
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -45,14 +46,26 @@ class RunConfig:
                 if "=" not in line:
                     raise ValueError(f"config line {lineno}: expected key=value")
                 key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in _BOUNDS_KEYS + _RUN_KEYS:
-                    raise ValueError(f"config line {lineno}: unknown key {key!r}")
-                values[key] = val.strip()
-        bounds = {k: Fraction(v) for k, v in values.items()
-                  if k in _BOUNDS_KEYS}
-        run = {k: int(v) for k, v in values.items() if k in _RUN_KEYS}
-        return RunConfig(bounds=BoundsConfig(**bounds), **run)
+                key, val = key.strip(), val.strip()
+                try:
+                    if key in _BOUNDS_KEYS:
+                        cfg = replace(cfg, bounds=replace(
+                            cfg.bounds, **{key: _fraction(val)}))
+                    elif key in _RUN_KEYS:
+                        cfg = replace(cfg, **{key: int(val)})
+                    else:
+                        raise ValueError(f"unknown key {key!r}")
+                except ValueError as exc:
+                    raise ValueError(f"config line {lineno}: {exc}") from None
+        return cfg
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _jsonable(v):
@@ -105,11 +118,15 @@ def _save_and_certify(ps: PointSet, args, claim: tuple) -> int:
 
 
 def _cmd_gen_x(args, cfg: RunConfig) -> int:
+    if args.cert:
+        _check_table_points(free_set_size_bound(args.l, args.m, args.n))
     return _save_and_certify(build_free_set(args.l, args.m, args.n), args,
                              ("x", args.l, args.m, args.n))
 
 
 def _cmd_gen_es(args, cfg: RunConfig) -> int:
+    if args.cert:
+        _check_table_points(convex_forcing_lower(args.l, args.n) - 1)
     return _save_and_certify(build_convex_free(args.l, args.n), args,
                              ("es", args.l, args.n))
 
@@ -163,13 +180,13 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
 def _cmd_bounds(args, cfg: RunConfig) -> int:
     bcfg = cfg.bounds
-    overrides = {}
     for name in _BOUNDS_KEYS:
         val = getattr(args, name)
         if val is not None:
-            overrides[name] = Fraction(val)
-    if overrides:
-        bcfg = replace(bcfg, **overrides)
+            try:
+                bcfg = replace(bcfg, **{name: _fraction(val)})
+            except ValueError as exc:
+                raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
     table = bound_table(args.l, args.maxmn, bcfg)
     _write_json(args.out, table)
     return 0

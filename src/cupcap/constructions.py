@@ -40,27 +40,6 @@ class ConstructionError(ValueError):
 
 
 @dataclass(frozen=True)
-class FlatPlacement:
-    """Axis-aligned affine map (x, y) -> (sx*x + tx, sy*y + ty), sx, sy > 0."""
-
-    scale_x: Fraction
-    scale_y: Fraction
-    translate_x: Fraction
-    translate_y: Fraction
-
-    def __post_init__(self):
-        if self.scale_x <= 0 or self.scale_y <= 0:
-            raise ValueError("placement scales must be positive")
-
-    def apply(self, p: Point) -> Point:
-        return Point(self.scale_x * p.x + self.translate_x,
-                     self.scale_y * p.y + self.translate_y)
-
-    def apply_set(self, ps: PointSet) -> PointSet:
-        return PointSet(self.apply(p) for p in ps)
-
-
-@dataclass(frozen=True)
 class ConstructionCertificate:
     """Analyzer results on the final coordinates of a built set."""
 
@@ -398,9 +377,10 @@ def verify_construction(ps: PointSet, claim: tuple) -> ConstructionCertificate:
     builders is trusted; every bound is recomputed from the points.
     """
     kind = claim[0]
-    coll = len(max_collinear(ps)) if len(ps) >= 2 else 1
+    # cup and cap first: an over-limit set stops before the collinear scan
     cup = longest_cup_size(ps) if len(ps) >= 2 else 1
     cap = longest_cap_size(ps) if len(ps) >= 2 else 1
+    coll = len(max_collinear(ps)) if len(ps) >= 2 else 1
     if kind == "x":
         _, l, m, n = claim
         no_coll = coll < l

@@ -42,6 +42,10 @@ _INT64_COORD_LIMIT = 1 << 30
 # 20-bit random sets (2-vCPU Xeon, numpy 2.4.6) it took 0.84-0.91 of
 # numpy's time at 32 points, 0.90-1.01 at 36 and 1.01-1.12 at 40.
 _NUMPY_MIN_POINTS = 38
+# Most points the label tables are built for.  Both pure-Python tables of
+# 4096 random 60-bit points took 18.1 s at 287 MB peak RSS, and of 2048
+# points 3.8 s at 93 MB (2-vCPU Xeon); x:3,9,9 (3432 points) fits.
+_MAX_TABLE_POINTS = 4096
 
 
 class WitnessKind(Enum):
@@ -154,12 +158,26 @@ def _sorted_distinct_x(ps: PointSet) -> list[Point]:
     return pts
 
 
-@lru_cache(maxsize=64)
-def _detection_tables(ps: PointSet):
-    """(sorted points, int coords, cup table, cap table) for a point set."""
+def _check_table_points(n) -> None:
+    if n > _MAX_TABLE_POINTS:
+        raise ValueError(f"{n} points exceed the {_MAX_TABLE_POINTS}-point "
+                         "limit of the cup/cap label tables")
+
+
+@lru_cache(maxsize=2)
+def _detection_tables(ps: PointSet, reflected: bool):
+    """(sorted points, int coords, cup table, cap table) for a point set;
+    the two entries keep the last set's forward and reflected tables.
+
+    With ``reflected`` the tables are those of ``[(-x, y) for x, y in
+    reversed(coords)]``.  Reflection keeps cups and caps and reverses the
+    order, so the longest cup starting at (i, j) has
+    ``XR[n-1-j][n-1-i] + 1`` points."""
+    _check_table_points(len(ps))
     pts = _sorted_distinct_x(ps)
     coords = int_coords(pts)
-    X, Y = _label_tables(coords)
+    X, Y = _label_tables([(-x, y) for x, y in reversed(coords)]
+                         if reflected else coords)
     return pts, coords, X, Y
 
 
@@ -201,24 +219,10 @@ def is_collinear_run(points: Sequence[Point]) -> bool:
     return all(int_cross(c[0], c[1], r) == 0 for r in c[2:])
 
 
-@lru_cache(maxsize=32)
-def _suffix_tables(ps: PointSet):
-    """Label tables of the x-reflected set.
-
-    Reflecting x maps cups to cups and caps to caps while reversing the
-    order, so these give, for each pair, the length of the longest chain
-    *starting* there: points of the longest cup starting at (i, j) equal
-    ``XR[n-1-j][n-1-i] + 1``.
-    """
-    _, coords, _, _ = _detection_tables(ps)
-    refl = [(-x, y) for x, y in reversed(coords)]
-    return _label_tables(refl)
-
-
 def _lexmin_chain(coords, reflected, sign: int) -> list[int]:
     """Lexicographically smallest maximum chain, by greedy extension.
 
-    ``reflected`` is the ``_suffix_tables`` table for the chain kind: the
+    ``reflected`` is the reflected table for the chain kind: the
     longest chain beginning with the pair (i, j) has
     ``reflected[n-1-j][n-1-i] + 1`` points.  The first pair is the first
     of maximum count in lexicographic order; the greedy then minimizes each
@@ -250,9 +254,8 @@ def _longest_chain(ps: PointSet, kind: WitnessKind,
                    sign: int) -> StructureWitness:
     if len(ps) < 2:
         raise ValueError(f"longest_{kind.value} needs at least 2 points")
-    pts, coords, _, _ = _detection_tables(ps)
-    reflected = _suffix_tables(ps)[0 if sign > 0 else 1]
-    chain = _lexmin_chain(coords, reflected, sign)
+    pts, coords, XR, YR = _detection_tables(ps, True)
+    chain = _lexmin_chain(coords, XR if sign > 0 else YR, sign)
     return StructureWitness(kind, PointSet(pts[i] for i in chain))
 
 
@@ -281,14 +284,14 @@ def longest_cup_size(ps: PointSet) -> int:
     """Point count of the longest cup (no witness extraction)."""
     if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    pts, _, X, _ = _detection_tables(ps)
+    pts, _, X, _ = _detection_tables(ps, False)
     return _max_label_pair(X, len(pts))[0] + 1
 
 
 def longest_cap_size(ps: PointSet) -> int:
     if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    pts, _, _, Y = _detection_tables(ps)
+    pts, _, _, Y = _detection_tables(ps, False)
     return _max_label_pair(Y, len(pts))[0] + 1
 
 
@@ -459,7 +462,7 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
 
 def pair_labels(ps: PointSet) -> dict[tuple[Point, Point], PairLabel]:
     """Labels (x_pq, y_pq) for every ordered pair p before q in x-order."""
-    pts, coords, X, Y = _detection_tables(ps)
+    pts, coords, X, Y = _detection_tables(ps, False)
     n = len(pts)
     out = {}
     for i in range(n - 1):
@@ -517,7 +520,7 @@ class DownSet:
 
 def downset_of(ps: PointSet, q: Point, a: int, b: int) -> DownSet:
     """Down-set in L(a, b) generated by the labels of pairs ending at q."""
-    pts, coords, X, Y = _detection_tables(ps)
+    pts, coords, X, Y = _detection_tables(ps, False)
     try:
         k = pts.index(q)
     except ValueError:
@@ -528,7 +531,7 @@ def downset_of(ps: PointSet, q: Point, a: int, b: int) -> DownSet:
 
 def downsets_by_point(ps: PointSet, a: int, b: int) -> dict[Point, DownSet]:
     """downset_of for every member, computing the label tables once."""
-    pts, coords, X, Y = _detection_tables(ps)
+    pts, coords, X, Y = _detection_tables(ps, False)
     out = {}
     for k, q in enumerate(pts):
         pairs = [(int(X[i][k]), int(Y[i][k])) for i in range(k)]
@@ -606,7 +609,7 @@ def find_structure(ps: PointSet, l: int, m: int, n: int) -> Optional[StructureWi
                                     run.members[:l])
     if len(ps) < 2:
         return None
-    pts, coords, X, Y = _detection_tables(ps)
+    pts, coords, X, Y = _detection_tables(ps, False)
     size = len(pts)
     cup_best, cup_at = _max_label_pair(X, size)
     if cup_best + 1 >= m:

@@ -47,6 +47,15 @@ class TestGen:
         assert not out.exists()
         assert "over the cap" in capsys.readouterr().err
 
+    def test_over_table_limit_refused_before_building(self, tmp_path,
+                                                      capsys):
+        # 48,620 points: under the generator cap, over the table limit
+        out = tmp_path / "x.pts"
+        assert run("gen-x", "3", "11", "11", "--out", str(out),
+                   "--cert", str(tmp_path / "c.json")) == 2
+        assert not out.exists()
+        assert "4096-point limit" in capsys.readouterr().err
+
     def test_construction_error_exits_two(self, tmp_path, monkeypatch,
                                           capsys):
         def fail(l, m, n):
@@ -120,6 +129,14 @@ class TestAnalyze:
         assert not rep.exists()
         assert "missing --m" in capsys.readouterr().err
 
+    def test_over_table_limit_exits_two(self, tmp_path, capsys):
+        f, rep = tmp_path / "big.pts", tmp_path / "r.json"
+        f.write_text("espts v1\n" + "".join(f"{i} {i * i}\n"
+                                            for i in range(4097)))
+        assert run("analyze", "--in", str(f), "--report", str(rep)) == 2
+        assert not rep.exists()
+        assert "4097 points exceed" in capsys.readouterr().err
+
     def test_handles_duplicate_x_by_shearing(self, tmp_path):
         f = tmp_path / "v.pts"
         f.write_text("espts v1\n0 0\n0 1\n1 0\n2 5\n")
@@ -145,6 +162,13 @@ class TestBounds:
                    str(out)) == 2
         assert not out.exists()
         assert "over the cap" in capsys.readouterr().err
+
+    def test_zero_denominator_flag_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert run("bounds", "--l", "3", "--maxmn", "3", "--out", str(out),
+                   "--c", "1/0") == 2
+        assert not out.exists()
+        assert "--c" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "b.json"
@@ -232,11 +256,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_file(str(cfg))
 
-    def test_cli_rejects_bad_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["mystery = 1", "seed = abc",
+                                      "c = 1/0"],
+                             ids=["unknown_key", "bad_int", "zero_denominator"])
+    def test_cli_rejects_bad_config(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mystery = 1\n")
+        cfg.write_text(f"# comment\n{text}\n")
         assert run("--config", str(cfg), "bounds", "--l", "3", "--maxmn",
                    "3", "--out", str(tmp_path / "b.json")) == 2
+        assert "config line 2" in capsys.readouterr().err
 
     def test_pipeline_determinism(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

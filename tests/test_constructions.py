@@ -4,12 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from cupcap import (FlatPlacement, Point, PointSet,
-                    build_base_capfree, build_base_cupfree, build_convex_free,
-                    build_free_set, combine_flat, cup_cap_threshold,
-                    free_set_size_bound, longest_cap_size, longest_cup_size,
-                    max_collinear, normalize_integer_coords, orientation,
-                    verify_construction)
+from cupcap import (Point, PointSet, build_base_capfree, build_base_cupfree,
+                    build_convex_free, build_free_set, combine_flat,
+                    cup_cap_threshold, free_set_size_bound, longest_cap_size,
+                    longest_cup_size, max_collinear, normalize_integer_coords,
+                    orientation, verify_construction)
 from cupcap.constructions import _int_hulls_side
 from cupcap.geom import cross_sign, int_coords, int_hull
 
@@ -231,8 +230,7 @@ class TestBuildConvexFree:
 class TestAffineRobustness:
     def test_certificate_invariant_under_affine_map(self):
         ps = build_free_set(4, 4, 5)
-        placed = FlatPlacement(Fraction(3), Fraction(1, 7),
-                               Fraction(-11), Fraction(5)).apply_set(ps)
+        placed = PointSet(Point(3 * p.x - 11, p.y / 7 + 5) for p in ps)
         c0 = verify_construction(ps, ("x", 4, 4, 5))
         c1 = verify_construction(placed, ("x", 4, 4, 5))
         assert (c0.max_collinear_points, c0.longest_cup_points,

@@ -7,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cupcap import (DownSet, PairLabel, Point, PointSet, WitnessKind,
-                    build_convex_free, count_downsets, downset_of,
-                    downsets_by_point, enumerate_downsets, find_structure,
-                    is_cap, is_cup, is_collinear_run, is_convex_position,
-                    longest_cap, longest_cup, max_collinear,
-                    max_convex_subset, pair_labels)
+                    build_convex_free, build_free_set, count_downsets,
+                    downset_of, downsets_by_point, enumerate_downsets,
+                    extremal, find_structure, is_cap, is_cup,
+                    is_collinear_run, is_convex_position, longest_cap,
+                    longest_cup, max_collinear, max_convex_subset,
+                    pair_labels, verify_construction)
+from cupcap.cli import main
+from cupcap.espts import save_file
 from cupcap.extremal import _label_tables_numpy, _label_tables_python
 from cupcap.geom import int_coords
 
@@ -379,3 +382,49 @@ class TestFindStructure:
     def test_thresholds_validated(self):
         with pytest.raises(ValueError):
             find_structure(COLLINEAR5, 2, 4, 4)
+
+
+class TestDetectionTables:
+    """The two-entry table memo serves every reuse, which is of one set."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = extremal._label_tables
+
+        def counted(coords):
+            calls.append(len(coords))
+            return build(coords)
+
+        monkeypatch.setattr(extremal, "_label_tables", counted)
+        extremal._detection_tables.cache_clear()
+        return calls
+
+    def test_certificate_builds_once(self, builds):
+        ps = build_free_set(3, 5, 5)
+        assert verify_construction(ps, ("x", 3, 5, 5)).passes
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("search, expected", [(True, 2), (False, 1)])
+    def test_cli_analyze_builds(self, tmp_path, builds, search, expected):
+        pts, rep = tmp_path / "x.pts", tmp_path / "r.json"
+        save_file(build_free_set(3, 5, 5), str(pts))
+        argv = ["analyze", "--in", str(pts), "--report", str(rep)]
+        if search:
+            argv += ["--l", "3", "--m", "5", "--n", "5"]
+        assert main(argv) == 0
+        assert len(builds) == expected
+
+    def test_memo_keeps_two_entries(self, builds):
+        rng = random.Random(13)
+        for _ in range(10):
+            find_structure(random_general_position(rng, 8), 9, 9, 9)
+        assert len(builds) == 10
+        assert extremal._detection_tables.cache_info().currsize == 2
+
+    def test_over_limit_refused_before_building(self, builds):
+        n = extremal._MAX_TABLE_POINTS + 1
+        ps = PointSet.of([(i, i * i) for i in range(n)])
+        with pytest.raises(ValueError, match=f"{n} points exceed"):
+            longest_cup(ps)
+        assert builds == []
