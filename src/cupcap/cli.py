@@ -52,7 +52,7 @@ class RunConfig:
                         cfg = replace(cfg, bounds=replace(
                             cfg.bounds, **{key: _fraction(val)}))
                     elif key in _RUN_KEYS:
-                        cfg = replace(cfg, **{key: int(val)})
+                        cfg = replace(cfg, **{key: _run_value(key, val)})
                     else:
                         raise ValueError(f"unknown key {key!r}")
                 except ValueError as exc:
@@ -66,6 +66,17 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _run_value(key: str, text: str) -> int:
+    """A run key's integer value; both budgets must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+    if key != "seed" and value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
 
 
 def _jsonable(v):

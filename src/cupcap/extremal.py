@@ -28,8 +28,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 
 # Below this coordinate magnitude every cross product fits in int64: with
@@ -44,7 +42,9 @@ _INT64_COORD_LIMIT = 1 << 30
 _NUMPY_MIN_POINTS = 38
 # Most points the label tables are built for.  Both pure-Python tables of
 # 4096 random 60-bit points took 18.1 s at 287 MB peak RSS, and of 2048
-# points 3.8 s at 93 MB (2-vCPU Xeon); x:3,9,9 (3432 points) fits.
+# points 3.8 s at 93 MB (2-vCPU Xeon); x:3,9,9 (3432 points) fits.  The
+# int64 tables of 4096 random 20-bit points peak at 352 MB, while the cap
+# table's array is turned into a list next to the finished cup list.
 _MAX_TABLE_POINTS = 4096
 
 
@@ -124,6 +124,12 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
 
 
 def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
+    """The int64 kernel of ``_label_tables``.  It returns lists of lists, as
+    ``_label_tables_python`` does, because the table readers index a list
+    several times faster than an array; X is converted and dropped before Y,
+    so only one array is held next to the lists."""
+    import numpy as np
+
     n = len(coords)
     x = np.array([c[0] for c in coords], dtype=np.int64)
     y = np.array([c[1] for c in coords], dtype=np.int64)
@@ -135,11 +141,11 @@ def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
         vx = x[i + 1:] - x[i]
         vy = y[i + 1:] - y[i]
         cr = ux[:, None] * vy[None, :] - uy[:, None] * vx[None, :]
-        colX = X[:i, i]
-        colY = Y[:i, i]
-        X[i, i + 1:] = np.where(cr > 0, colX[:, None], 0).max(axis=0) + 1
-        Y[i, i + 1:] = np.where(cr < 0, colY[:, None], 0).max(axis=0) + 1
-    return X, Y
+        # no column view outlives the loop, so rebinding X frees its array
+        X[i, i + 1:] = np.where(cr > 0, X[:i, i, None], 0).max(axis=0) + 1
+        Y[i, i + 1:] = np.where(cr < 0, Y[:i, i, None], 0).max(axis=0) + 1
+    X = X.tolist()
+    return X, Y.tolist()
 
 
 def _label_tables(coords: Sequence[tuple[int, int]]):
@@ -235,7 +241,7 @@ def _lexmin_chain(coords, reflected, sign: int) -> list[int]:
         for j in range(i + 1, n):
             count = reflected[last - j][last - i] + 1
             if count > best:
-                best, first = int(count), (i, j)
+                best, first = count, (i, j)
     chain = list(first)
     for _ in range(best - 2):
         u, v = chain[-2], chain[-1]
@@ -273,10 +279,10 @@ def _max_label_pair(table, size: int):
     """Largest label in a pair table and the first pair that holds it."""
     best, where = 0, None
     for i in range(size - 1):
-        row = table[i]
-        for j in range(i + 1, size):
-            if row[j] > best:
-                best, where = int(row[j]), (i, j)
+        row = table[i][i + 1:size]
+        top = max(row)
+        if top > best:
+            best, where = top, (i, i + 1 + row.index(top))
     return best, where
 
 
@@ -467,7 +473,7 @@ def pair_labels(ps: PointSet) -> dict[tuple[Point, Point], PairLabel]:
     out = {}
     for i in range(n - 1):
         for j in range(i + 1, n):
-            out[(pts[i], pts[j])] = PairLabel(int(X[i][j]), int(Y[i][j]))
+            out[(pts[i], pts[j])] = PairLabel(X[i][j], Y[i][j])
     return out
 
 
@@ -525,7 +531,7 @@ def downset_of(ps: PointSet, q: Point, a: int, b: int) -> DownSet:
         k = pts.index(q)
     except ValueError:
         raise ValueError(f"{q!r} is not a member of the point set") from None
-    pairs = [(int(X[i][k]), int(Y[i][k])) for i in range(k)]
+    pairs = [(X[i][k], Y[i][k]) for i in range(k)]
     return DownSet.generated_by(a, b, pairs)
 
 
@@ -534,7 +540,7 @@ def downsets_by_point(ps: PointSet, a: int, b: int) -> dict[Point, DownSet]:
     pts, coords, X, Y = _detection_tables(ps, False)
     out = {}
     for k, q in enumerate(pts):
-        pairs = [(int(X[i][k]), int(Y[i][k])) for i in range(k)]
+        pairs = [(X[i][k], Y[i][k]) for i in range(k)]
         out[q] = DownSet.generated_by(a, b, pairs)
     return out
 

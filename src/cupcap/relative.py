@@ -35,9 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .extremal import (StructureWitness, WitnessKind, _chain_backward,
                        _chain_sign, _int64_safe, _max_label_pair,
@@ -46,6 +44,9 @@ from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
                    int_coords, int_cross, int_hull, int_hull_contains,
                    is_convex_position, point_in_convex_hull,
                    point_in_convex_region)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GeometryPreconditionError(ValueError):
@@ -195,6 +196,8 @@ def _coord_array(coords: Sequence[tuple[int, int]]) -> np.ndarray:
     """``int_coords`` as an n x 2 array: int64 where every cross product
     fits (``extremal._int64_safe``), and exact Python ints
     (``dtype=object``) above."""
+    import numpy as np
+
     return np.array(coords, dtype=np.int64 if _int64_safe(coords) else object)
 
 
@@ -209,6 +212,8 @@ def _support_masks(c: np.ndarray, chain: Sequence[int], s: int) -> np.ndarray:
     centroid test of ``support_regions`` makes region i side_i < 0,
     side_{i-1} > 0 and side_{i+1} > 0; ``int_coords`` keeps every sign.
     """
+    import numpy as np
+
     v = c[list(chain)]
     d = np.roll(v, -1, axis=0) - v
     side = s * (d[:, :1] * (c[:, 1] - v[:, 1:])
@@ -219,6 +224,8 @@ def _support_masks(c: np.ndarray, chain: Sequence[int], s: int) -> np.ndarray:
 
 def populate_support(p: PointSet, x: PointSet) -> SupportOccupancy:
     """Exact membership of every point of p in every support region of x."""
+    import numpy as np
+
     regions = tuple(support_regions(x))
     n = len(p)
     coords = int_coords([*p, *sorted(x, key=lambda q: q.x)])
@@ -242,11 +249,13 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
     cup/cap candidate by the minimum occupancy over its chain regions,
     until ``budget`` candidates have been evaluated; returns the best
     candidate (ties to the first found).  Deterministic given the seed.
-    Raises if no k-cup or k-cap turns up at all.
+    Raises if ``budget`` is below 1 or no k-cup or k-cap turns up at all.
     """
     n = len(p)
     if k < 4:
         raise ValueError("fat-cap search needs k >= 4")
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1, got {budget}")
     if n < k:
         raise ValueError("not enough points")
     pts = _sorted_distinct_x(p)
@@ -263,7 +272,7 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
               if (s := _chain_sign(coords, combo)))
     best_idx: Optional[tuple[int, ...]] = None
     best_occ = -1
-    for combo, s in itertools.islice(chains, max(budget, 0)):
+    for combo, s in itertools.islice(chains, budget):
         occ = int(_support_masks(c, combo, s)[:k - 1].sum(axis=1).min())
         if occ > best_occ:
             best_occ, best_idx = occ, combo
@@ -297,9 +306,14 @@ def check_selection_tuples(groups: Sequence[Sequence[Point]],
     Exhaustive when the tuple count is at most ``sample_budget``, otherwise
     seeded uniform sampling of that many tuples.  Returns the first
     violating tuple as a counterexample when one is found; empty groups
-    make the check vacuous (zero tuples).  Tuples are decided as by
-    ``is_convex_position``, with ``int_hull`` on one ``int_coords`` array.
+    make the check vacuous (zero tuples).  A ``sample_budget`` below 1
+    raises, since it would pass a sampled check of no tuple.  Tuples are
+    decided as by ``is_convex_position``, with ``int_hull`` on one
+    ``int_coords`` array.
     """
+    if sample_budget < 1:
+        raise ValueError(
+            f"sample budget must be at least 1, got {sample_budget}")
     groups = [list(g) for g in groups]
     total = math.prod(len(g) for g in groups)
     if total == 0:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cupcap
 from cupcap import BoundsConfig, ConstructionError, build_free_set
 from cupcap.cli import RunConfig, main
 from cupcap.espts import load_file
@@ -198,6 +203,22 @@ class TestFatCap:
         assert payload["min_occupancy"] == min(payload["occupancies"])
         assert payload["transversal"]["violations"] == 0
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--sample-budget", "0", "sample budget must be at least 1, got 0"),
+        ("--budget", "-3", "search budget must be at least 1, got -3"),
+    ], ids=["sample_budget_zero", "negative_budget"])
+    def test_budget_below_one_exits_2(self, tmp_path, capsys, flag, value,
+                                      message):
+        import random
+        from conftest import random_point_set
+        from cupcap.espts import save_file
+        src, rep = tmp_path / "p.pts", tmp_path / "fc.json"
+        save_file(random_point_set(random.Random(1), 60), str(src))
+        assert run("fat-cap", "--in", str(src), "--k", "4", flag, value,
+                   "--report", str(rep)) == 2
+        assert message in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_equal_x_exits_2(self, tmp_path, capsys):
         from cupcap import PointSet
         from cupcap.espts import save_file
@@ -256,15 +277,25 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_file(str(cfg))
 
-    @pytest.mark.parametrize("text", ["mystery = 1", "seed = abc",
-                                      "c = 1/0"],
-                             ids=["unknown_key", "bad_int", "zero_denominator"])
-    def test_cli_rejects_bad_config(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text,message", [
+        ("mystery = 1", "unknown key 'mystery'"),
+        ("seed = abc", "seed must be an integer, got 'abc'"),
+        ("c = 1/0", "zero denominator"),
+        ("sample_budget = 0", "sample_budget must be at least 1, got 0"),
+        ("search_budget = -2", "search_budget must be at least 1, got -2"),
+    ], ids=["unknown_key", "bad_int", "zero_denominator",
+            "sample_budget_zero", "search_budget_negative"])
+    def test_cli_rejects_bad_config(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# comment\n{text}\n")
         assert run("--config", str(cfg), "bounds", "--l", "3", "--maxmn",
                    "3", "--out", str(tmp_path / "b.json")) == 2
-        assert "config line 2" in capsys.readouterr().err
+        assert f"config line 2: {message}" in capsys.readouterr().err
+
+    def test_negative_seed_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -4\n")
+        assert RunConfig.from_file(str(cfg)).seed == -4
 
     def test_pipeline_determinism(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -273,3 +304,60 @@ class TestRunConfig:
         run("analyze", "--in", str(out), "--report", str(r1))
         run("analyze", "--in", str(out), "--report", str(r2))
         assert r1.read_bytes() == r2.read_bytes()
+
+
+class TestColdStart:
+    """numpy is loaded only where a numpy kernel runs.  Each check runs in
+    a fresh interpreter, because pytest plugins may already have loaded
+    numpy into this one."""
+
+    @staticmethod
+    def numpy_loaded(code: str) -> bool:
+        paths = [str(Path(cupcap.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code += "\nimport sys\nprint('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()[-1] == "True"
+
+    @pytest.mark.parametrize("module", ["cupcap", "cupcap.cli"])
+    def test_import_skips_numpy(self, module):
+        assert not self.numpy_loaded(f"import {module}")
+
+    def test_exact_big_integer_steps_skip_numpy(self, tmp_path):
+        # es:3,8 has 64 points with 77-bit coordinates: over the numpy
+        # table size, but not int64-safe, so every table is pure Python
+        d = tmp_path
+        assert not self.numpy_loaded(f"""
+from cupcap.cli import main
+assert main(["gen-x", "3", "5", "5", "--out", r"{d / 'x.pts'}",
+             "--cert", r"{d / 'x.json'}"]) == 0
+assert main(["gen-es", "3", "8", "--out", r"{d / 'es.pts'}"]) == 0
+assert main(["verify", "--in", r"{d / 'es.pts'}", "--claim", "es:3,8",
+             "--report", r"{d / 'v.json'}"]) == 0
+assert main(["analyze", "--in", r"{d / 'es.pts'}", "--report",
+             r"{d / 'a.json'}", "--l", "3", "--m", "8", "--n", "8"]) == 0
+""")
+
+    def test_fat_cap_loads_numpy(self, tmp_path):
+        src = tmp_path / "p.pts"
+        assert self.numpy_loaded(f"""
+import random
+from conftest import random_point_set
+from cupcap.cli import main
+from cupcap.espts import save_file
+save_file(random_point_set(random.Random(1), 60), r"{src}")
+assert main(["fat-cap", "--in", r"{src}", "--k", "4", "--budget", "5",
+             "--report", r"{tmp_path / 'fc.json'}"]) == 0
+""")
+
+    def test_int64_tables_of_forty_points_load_numpy(self):
+        assert self.numpy_loaded("""
+import random
+from conftest import random_point_set
+from cupcap import find_structure
+find_structure(random_point_set(random.Random(2), 40), 3, 9, 9)
+""")

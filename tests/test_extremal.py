@@ -90,20 +90,24 @@ class TestLongestCupCap:
             big = [(x * sx + tx, y * sy + ty) for x, y in coords]
             Xb, Yb = _label_tables_python(big)
             Xn, Yn = _label_tables_numpy(coords)
-            assert Xb == Xn.tolist() and Yb == Yn.tolist()
+            assert Xb == Xn and Yb == Yn
 
     def test_numpy_and_python_tables_agree(self):
         rng = random.Random(3)
         for _ in range(10):
             ps = random_point_set(rng, 30, span=100)
             coords = int_coords(sorted(ps, key=lambda p: p.x))
-            Xp, Yp = _label_tables_python(coords)
-            Xn, Yn = _label_tables_numpy(coords)
-            n = len(coords)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    assert Xp[i][j] == int(Xn[i][j])
-                    assert Yp[i][j] == int(Yn[i][j])
+            assert _label_tables_python(coords) == _label_tables_numpy(coords)
+
+    def test_both_builders_return_lists_of_int(self):
+        # every table reader indexes one type: list rows of Python ints
+        coords = int_coords(sorted(random_point_set(random.Random(5), 40),
+                                   key=lambda p: p.x))
+        for build in (_label_tables_python, _label_tables_numpy):
+            for table in build(coords):
+                assert type(table) is list
+                assert all(type(row) is list for row in table)
+                assert all(type(v) is int for row in table for v in row)
 
 
 class TestMaxCollinear:

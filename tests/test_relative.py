@@ -337,6 +337,10 @@ class TestFindFatCap:
         with pytest.raises(ValueError):
             find_fat_cap(CAP4, 3, seed=0, budget=5)
 
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="search budget must be at least 1"):
+            find_fat_cap(CAP4, 4, seed=0, budget=0)
+
 
 class TestTransversal:
     def test_single_point_per_region(self):
@@ -350,6 +354,12 @@ class TestTransversal:
     def test_vacuous_when_region_empty(self):
         rep = transversal_check(CAP4, CAP4, sample_budget=10, seed=0)
         assert rep.ok and rep.checked == 0
+
+    def test_sample_budget_below_one_rejected(self):
+        # a sampled check of zero tuples would pass on nothing
+        groups = [[pt(0, 0)], [pt(1, 1)], [pt(40, i) for i in range(40)]]
+        with pytest.raises(ValueError, match="sample budget must be at least 1"):
+            check_selection_tuples(groups, sample_budget=-1, seed=0)
 
     def test_checker_flags_planted_collinear_selection(self):
         # the selection engine must report a violation when a non-convex
