@@ -260,6 +260,9 @@ def _svg_document(ps: PointSet, highlight: list[int]) -> str:
 
 def _cmd_plot(args, cfg: RunConfig) -> int:
     ps = espts.load_file(args.infile)
+    if not ps:
+        raise ValueError(f"{args.infile} holds an empty point set; "
+                         "there is nothing to plot")
     highlight: list[int] = []
     if args.highlight:
         try:

@@ -15,9 +15,17 @@ Conventions:
   triple is neither a cup nor a cap, so it extends no chain.
 * All results are exact.  Inputs are converted once to integer coordinates
   by clearing denominators (an orientation-preserving positive axis
-  scaling).  Every sort by slope or angle uses the one exact integer key
-  ``num * slope_scale(coords) // den``, and a vectorized int64 code path is
-  used only when coordinate magnitudes make it provably overflow-free.
+  scaling).  The exact paths sort by slope or angle with the one integer
+  key ``num * slope_scale(coords) // den``.  Vectorized int64 kernels (the
+  label tables, and ``max_collinear``'s anchor prefilter) run only where
+  coordinate magnitudes make them provably overflow-free.
+* Those kernels filter by float64 slopes and fall back to exact integers.
+  With |coordinate| < 2**30 every difference is an integer below 2**31,
+  which float64 holds exactly.  IEEE division is correctly rounded and
+  rounding is monotone, so ``fl(dy/dx) < fl(dy'/dx')`` implies
+  ``dy/dx < dy'/dx'``, and equal slopes give equal floats.  Only slopes
+  whose floats are equal stay undecided, and int64 cross products decide
+  those.
 """
 
 from __future__ import annotations
@@ -32,19 +40,24 @@ from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 
 # Below this coordinate magnitude every cross product fits in int64: with
 # |coordinate| < 2**30, differences are below 2**31, each product of two
-# below 2**62 and their difference below 2**63.  The label tables and
-# ``relative._coord_array`` take the int64 path only there, and the exact
-# big-integer path above.  Results are identical.
+# below 2**62 and their difference below 2**63.  The label tables,
+# ``max_collinear``'s prefilter and ``relative._coord_array`` take the int64
+# path only there, and the exact big-integer path above.  Results are
+# identical.
 _INT64_COORD_LIMIT = 1 << 30
 # Below this size the plain-Python DP beats numpy's dispatch overhead.  On
-# 20-bit random sets (2-vCPU Xeon, numpy 2.4.6) it took 0.84-0.91 of
-# numpy's time at 32 points, 0.90-1.01 at 36 and 1.01-1.12 at 40.
+# 20-bit random sets (2-vCPU Xeon, numpy 2.4.6) it took 0.84-0.91 of the
+# O(n^3) int64 kernel's time at 32 points, 0.90-1.01 at 36 and 1.01-1.12
+# at 40.  The sweep kernel breaks even lower: the Python DP took 0.88 of
+# its time at 24 points and 1.13 at 32 (ROADMAP, "Smaller fixes").
 _NUMPY_MIN_POINTS = 38
 # Most points the label tables are built for.  Both pure-Python tables of
 # 4096 random 60-bit points took 18.1 s at 287 MB peak RSS, and of 2048
-# points 3.8 s at 93 MB (2-vCPU Xeon); x:3,9,9 (3432 points) fits.  The
-# int64 tables of 4096 random 20-bit points peak at 352 MB, while the cap
-# table's array is turned into a list next to the finished cup list.
+# points 3.8 s at 93 MB (2-vCPU Xeon); x:3,9,9 (3432 points) fits.  Labels
+# stay below it, under 2**15, so the int64 kernel keeps them in int16
+# arrays.  Its tables of 4096 random 20-bit points took 3.4 s and peak at
+# 337 MB, while the cap table's array is turned into a list next to the
+# finished cup list.
 _MAX_TABLE_POINTS = 4096
 
 
@@ -124,26 +137,52 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
 
 
 def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
-    """The int64 kernel of ``_label_tables``.  It returns lists of lists, as
-    ``_label_tables_python`` does, because the table readers index a list
-    several times faster than an array; X is converted and dropped before Y,
-    so only one array is held next to the lists."""
+    """The int64 kernel of ``_label_tables``: the sweep of
+    ``_label_tables_python``, vectorized per anchor, on float64 slopes.
+
+    The float slopes order exactly except among equal floats (see the
+    module docstring).  A successor whose float slope equals some
+    predecessor's takes its labels from exact int64 cross products
+    against every predecessor instead.
+
+    It returns lists of lists, as ``_label_tables_python`` does, because
+    the table readers index a list several times faster than an array; X
+    is converted and dropped before Y, so only one array is held next to
+    the lists."""
     import numpy as np
 
     n = len(coords)
     x = np.array([c[0] for c in coords], dtype=np.int64)
     y = np.array([c[1] for c in coords], dtype=np.int64)
-    X = np.ones((n, n), dtype=np.int32)
-    Y = np.ones((n, n), dtype=np.int32)
+    X = np.ones((n, n), dtype=np.int16)
+    Y = np.ones((n, n), dtype=np.int16)
+    # cup[k]: most cup edges into i over the k smallest predecessor slopes;
+    # cap[k]: most cap edges over the slopes from the k-th on.  cup[0] and
+    # cap[i] stay 0, as no earlier anchor writes them.
+    cup = np.zeros(n, dtype=np.int16)
+    cap = np.zeros(n, dtype=np.int16)
     for i in range(1, n - 1):
-        ux = x[i] - x[:i]
-        uy = y[i] - y[:i]
-        vx = x[i + 1:] - x[i]
-        vy = y[i + 1:] - y[i]
-        cr = ux[:, None] * vy[None, :] - uy[:, None] * vx[None, :]
-        # no column view outlives the loop, so rebinding X frees its array
-        X[i, i + 1:] = np.where(cr > 0, X[:i, i, None], 0).max(axis=0) + 1
-        Y[i, i + 1:] = np.where(cr < 0, Y[:i, i, None], 0).max(axis=0) + 1
+        dx = x - x[i]
+        dy = y - y[i]
+        pred = dy[:i] / dx[:i]
+        succ = dy[i + 1:] / dx[i + 1:]
+        order = pred.argsort()
+        keys = pred[order]
+        np.maximum.accumulate(X[order, i], out=cup[1:i + 1])
+        cap[:i] = np.maximum.accumulate(Y[order[::-1], i])[::-1]
+        # predecessors before lo have smaller float slopes than successor
+        # j, from hi on larger ones; lo < hi leaves j's turns to the ints
+        lo = keys.searchsorted(succ, "left")
+        hi = keys.searchsorted(succ, "right")
+        X[i, i + 1:] = cup[lo] + 1
+        Y[i, i + 1:] = cap[hi] + 1
+        tied = i + 1 + (lo < hi).nonzero()[0]
+        if tied.size:
+            # (h, i, j) turns left iff dy[h] * dx[j] - dx[h] * dy[j] > 0
+            cr = dy[:i, None] * dx[tied] - dx[:i, None] * dy[tied]
+            X[i, tied] = np.where(cr > 0, X[:i, i, None], 0).max(axis=0) + 1
+            Y[i, tied] = np.where(cr < 0, Y[:i, i, None], 0).max(axis=0) + 1
+    # no view of X outlives the loop, so rebinding X frees its array
     X = X.tolist()
     return X, Y.tolist()
 
@@ -305,12 +344,40 @@ def longest_cap_size(ps: PointSet) -> int:
 # maximum collinear subset
 
 
+def _slope_tied_anchors(coords: Sequence[tuple[int, int]]) -> list[bool]:
+    """For each anchor i of int64-safe ``coords`` in (x, y) order, whether
+    two later points have equal float64 slopes from i.
+
+    Equal exact slopes give equal floats (vertical ones +inf), so an
+    anchor without a float tie sees every later point in its own slope
+    bucket.  Rows are sorted in blocks that keep the array near 2**18
+    entries; the entries j <= i are NaN, which equals nothing."""
+    import numpy as np
+
+    n = len(coords)
+    x = np.array([c[0] for c in coords], dtype=np.float64)
+    y = np.array([c[1] for c in coords], dtype=np.float64)
+    col = np.arange(n)
+    tied = np.zeros(n, dtype=bool)
+    step = max(1, (1 << 18) // n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, step):
+            row = col[start:start + step, None]
+            s = (y - y[row]) / (x - x[row])
+            s[col <= row] = np.nan
+            s.sort(axis=1)
+            tied[row[:, 0]] = (s[:, 1:] == s[:, :-1]).any(axis=1)
+    return tied.tolist()
+
+
 def max_collinear(ps: PointSet) -> StructureWitness:
     """A maximum set of members lying on one common line.
 
     Anchor scan: the lexicographically smallest point of a maximal run sees
     the entire rest of the run in a single slope-key bucket (``None`` for
-    the vertical direction).
+    the vertical direction).  On int64-safe sets of ``_NUMPY_MIN_POINTS``
+    or more, anchors without a float slope tie (``_slope_tied_anchors``)
+    are skipped: their buckets hold one point each, and ``best`` has two.
     """
     if len(ps) < 2:
         raise ValueError("max_collinear needs at least 2 points")
@@ -319,10 +386,14 @@ def max_collinear(ps: PointSet) -> StructureWitness:
     coords = int_coords(pts)
     scale = slope_scale(coords)
     n = len(pts)
+    tied = (_slope_tied_anchors(coords)
+            if n >= _NUMPY_MIN_POINTS and _int64_safe(coords) else [True] * n)
     best: list[int] = [0, 1]
     for i in range(n - 1):
         if n - i <= len(best):
             break
+        if not tied[i]:
+            continue
         groups: dict[Optional[int], list[int]] = {}
         xi, yi = coords[i]
         for j in range(i + 1, n):

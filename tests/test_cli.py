@@ -252,6 +252,14 @@ class TestPlot:
         assert run("plot", "--in", str(out), "--svg",
                    str(tmp_path / "z.svg"), "--highlight", "99") == 2
 
+    def test_empty_set_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.pts"
+        empty.write_text("espts v1\n")
+        svg = tmp_path / "e.svg"
+        assert run("plot", "--in", str(empty), "--svg", str(svg)) == 2
+        assert "empty point set" in capsys.readouterr().err
+        assert not svg.exists()
+
 
 class TestRunConfig:
     def test_round_trip(self, tmp_path):

@@ -99,6 +99,22 @@ class TestLongestCupCap:
             coords = int_coords(sorted(ps, key=lambda p: p.x))
             assert _label_tables_python(coords) == _label_tables_numpy(coords)
 
+    def test_float_slope_tie_decided_exactly(self):
+        # the slopes a/b into (A, A) and c/d out of it round to one float64
+        # but differ, b*c - a*d == 1, so the triple turns left; the int64
+        # kernel must decide it by the exact cross product.  The padding
+        # lies to the right, so (A, A) has this one predecessor.
+        A, b = 1 << 29, (1 << 28) + 3
+        a, c, d = b - 1, b, b + 1
+        assert a / b == c / d and b * c - a * d == 1
+        rng = random.Random(17)
+        pad = [(x, rng.randrange(1 << 30))
+               for x in rng.sample(range(A + d + 1, 1 << 30), 40)]
+        coords = sorted([(A - b, A - a), (A, A), (A + d, A + c)] + pad)
+        X, Y = _label_tables_numpy(coords)
+        assert (X[1][2], Y[1][2]) == (2, 1)
+        assert (X, Y) == _label_tables_python(coords)
+
     def test_both_builders_return_lists_of_int(self):
         # every table reader indexes one type: list rows of Python ints
         coords = int_coords(sorted(random_point_set(random.Random(5), 40),
@@ -131,6 +147,37 @@ class TestMaxCollinear:
                                   distinct_x=False)
             assert len(max_collinear(ps)) == \
                 oracles.brute_max_collinear(list(ps))
+
+    @pytest.mark.parametrize("kind", ["grid", "vertical", "float_tie",
+                                      "general"])
+    def test_int64_prefilter_matches_python_path(self, kind):
+        # (x, y) -> (x, 2**40 * y + x) keeps the (x, y) order and every
+        # line, and leaves coordinates no int64 kernel takes; members map
+        # back to give the same witness, tie-breaks included
+        rng = random.Random(29)
+        if kind == "grid":
+            pts = [(x, y) for x in range(7) for y in range(7)]
+        elif kind == "vertical":
+            pts = [(x, y) for x in range(5)
+                   for y in rng.sample(range(1 << 20), 8 + x)]
+        elif kind == "float_tie":
+            # from (1, 1), the slopes (b - 1)/b and b/(b + 1) to
+            # (1 + b, b) and (2 + b, 1 + b) are equal as floats but not
+            # exactly; (2, 5) -> (6, 13) is a run
+            b = (1 << 28) + 3
+            pts = [(1, 1), (1 + b, b), (2 + b, 1 + b), (2, 5), (4, 9), (6, 13)]
+            pts += [(rng.randrange(1 << 29), rng.randrange(1 << 29))
+                    for _ in range(40)]
+        else:
+            pts = [(p.x, p.y)
+                   for p in random_general_position(rng, 40, span=1 << 29)]
+        ps = PointSet.of(pts)
+        assert len(ps) >= extremal._NUMPY_MIN_POINTS
+        assert extremal._int64_safe(int_coords(list(ps)))
+        image = {Point.of(p.x, p.y * 2**40 + p.x): p for p in ps}
+        expected = [image[p] for p in
+                    max_collinear(PointSet(image)).members]
+        assert list(max_collinear(ps).members) == expected
 
     def test_general_position_sets_have_no_collinear_triple(self):
         # a small span makes a point between two others a likely draw
