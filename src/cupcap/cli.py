@@ -18,8 +18,9 @@ from . import espts
 from .bounds import (BoundsConfig, bound_table, convex_forcing_lower,
                      free_set_size_bound)
 from .constructions import build_convex_free, build_free_set, verify_construction
-from .extremal import (_check_table_points, find_structure, longest_cap,
-                       longest_cup, max_collinear, max_convex_subset)
+from .extremal import (_check_convex_points, _check_table_points,
+                       find_structure, longest_cap, longest_cup,
+                       max_collinear, max_convex_subset)
 from .geom import PointSet, shear_distinct_x
 from .relative import (check_selection_tuples, find_fat_cap,
                        populate_support)
@@ -137,7 +138,9 @@ def _cmd_gen_x(args, cfg: RunConfig) -> int:
 
 def _cmd_gen_es(args, cfg: RunConfig) -> int:
     if args.cert:
-        _check_table_points(convex_forcing_lower(args.l, args.n) - 1)
+        size = convex_forcing_lower(args.l, args.n) - 1
+        _check_table_points(size)
+        _check_convex_points(size)
     return _save_and_certify(build_convex_free(args.l, args.n), args,
                              ("es", args.l, args.n))
 
@@ -148,6 +151,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         raise ValueError("the structure search needs --l, --m and --n; "
                          f"missing {', '.join(missing)}")
     ps = espts.load_file(args.infile)
+    _check_convex_points(len(ps))  # before any table is built
     sheared = shear_distinct_x(ps)
     cup = longest_cup(sheared) if len(ps) >= 2 else None
     cap = longest_cap(sheared) if len(ps) >= 2 else None

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import free_set_size_bound
-from .extremal import (longest_cap_size, longest_cup_size, max_collinear,
-                       max_convex_subset)
+from .extremal import (_check_convex_points, longest_cap_size,
+                       longest_cup_size, max_collinear, max_convex_subset)
 from .geom import Point, PointSet, int_coords, int_cross, int_hull
 
 _MAX_ADAPT_ATTEMPTS = 10_000
@@ -377,6 +377,8 @@ def verify_construction(ps: PointSet, claim: tuple) -> ConstructionCertificate:
     builders is trusted; every bound is recomputed from the points.
     """
     kind = claim[0]
+    if kind == "es":
+        _check_convex_points(len(ps))
     # cup and cap first: an over-limit set stops before the collinear scan
     cup = longest_cup_size(ps) if len(ps) >= 2 else 1
     cap = longest_cap_size(ps) if len(ps) >= 2 else 1

@@ -16,16 +16,23 @@ Conventions:
 * All results are exact.  Inputs are converted once to integer coordinates
   by clearing denominators (an orientation-preserving positive axis
   scaling).  The exact paths sort by slope or angle with the one integer
-  key ``num * slope_scale(coords) // den``.  Vectorized int64 kernels (the
-  label tables, and ``max_collinear``'s anchor prefilter) run only where
-  coordinate magnitudes make them provably overflow-free.
-* Those kernels filter by float64 slopes and fall back to exact integers.
-  With |coordinate| < 2**30 every difference is an integer below 2**31,
-  which float64 holds exactly.  IEEE division is correctly rounded and
-  rounding is monotone, so ``fl(dy/dx) < fl(dy'/dx')`` implies
-  ``dy/dx < dy'/dx'``, and equal slopes give equal floats.  Only slopes
-  whose floats are equal stay undecided, and int64 cross products decide
-  those.
+  key ``num * slope_scale(coords) // den``.
+* The label tables and ``max_collinear`` filter by float slopes and fall
+  back to exact integers.  CPython's true division of two ints is
+  correctly rounded at any size, as is IEEE division, and rounding is
+  monotone, so ``fl(dy/dx) < fl(dy'/dx')`` implies ``dy/dx < dy'/dx'``, and
+  equal slopes give equal floats.  Only slopes whose floats are equal stay
+  undecided.  The pure-Python tables give every anchor where a
+  predecessor's float equals a successor's the exact keys, and
+  ``max_collinear`` groups every anchor with a float tie by exact keys.
+  The division raises OverflowError for a quotient of 2**1024 or more, so
+  sets with a coordinate of ``_FLOAT_COORD_LIMIT`` or more take exact keys
+  throughout.
+* Vectorized int64 kernels (the label tables, and ``max_collinear``'s
+  anchor prefilter) run on sets of ``_NUMPY_MIN_POINTS`` or more with
+  |coordinate| < 2**30.  Every difference is then an integer below 2**31,
+  which float64 holds exactly, and int64 cross products decide the float
+  ties.
 """
 
 from __future__ import annotations
@@ -33,32 +40,46 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Sequence
 
 from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 
 # Below this coordinate magnitude every cross product fits in int64: with
 # |coordinate| < 2**30, differences are below 2**31, each product of two
-# below 2**62 and their difference below 2**63.  The label tables,
-# ``max_collinear``'s prefilter and ``relative._coord_array`` take the int64
-# path only there, and the exact big-integer path above.  Results are
-# identical.
+# below 2**62 and their difference below 2**63.  This bound is only int64
+# overflow.  The label tables, ``max_collinear``'s prefilter and
+# ``relative._coord_array`` take the int64 path only there, and the
+# pure-Python path of Python ints above.  Results are identical.
 _INT64_COORD_LIMIT = 1 << 30
-# Below this size the plain-Python DP beats numpy's dispatch overhead.  On
-# 20-bit random sets (2-vCPU Xeon, numpy 2.4.6) it took 0.84-0.91 of the
-# O(n^3) int64 kernel's time at 32 points, 0.90-1.01 at 36 and 1.01-1.12
-# at 40.  The sweep kernel breaks even lower: the Python DP took 0.88 of
-# its time at 24 points and 1.13 at 32 (ROADMAP, "Smaller fixes").
+# Below this coordinate magnitude the pure-Python kernels filter by the float
+# slope ``dy / dx`` of Python ints, which raises OverflowError for a quotient
+# of 2**1024 or more.  Differences are then below 2**1023, and |dx| >= 1, so
+# every quotient rounds to at most 2**1023.  Larger sets take exact keys
+# throughout.
+_FLOAT_COORD_LIMIT = 1 << 1022
+# Below this size the int64 kernels do not pay for numpy's dispatch.  On
+# 20-bit random sets (40 sets a size, median of 15 interleaved runs, 2-vCPU
+# Xeon, numpy 2.4.6) the float-filtered Python tables took 0.70 of the
+# int64 tables' time at 32 points, 0.81 at 38, 0.85 at 40 and 1.16 at 48,
+# so they break even between 40 and 48 points; the all-exact sweep took
+# 1.15 at 32.  Raising the value moves sets between paths, which needs its
+# own measured pairs.  The same bound gates ``max_collinear``'s int64
+# prefilter.
 _NUMPY_MIN_POINTS = 38
 # Most points the label tables are built for.  Both pure-Python tables of
-# 4096 random 60-bit points took 18.1 s at 287 MB peak RSS, and of 2048
-# points 3.8 s at 93 MB (2-vCPU Xeon); x:3,9,9 (3432 points) fits.  Labels
-# stay below it, under 2**15, so the int64 kernel keeps them in int16
-# arrays.  Its tables of 4096 random 20-bit points took 3.4 s and peak at
-# 337 MB, while the cap table's array is turned into a list next to the
-# finished cup list.
+# 4096 random 60-bit points took 26.5 s CPU at 291 MB peak RSS, and of 2048
+# points 3.7 s at 98 MB (2-vCPU Xeon; the all-exact sweep, timed alongside,
+# took 46.8 s and 6.1 s); x:3,9,9 (3432 points) fits.  Labels stay
+# below it, under 2**15, so the int64 kernel keeps them in int16 arrays.
+# Its tables of 4096 random 20-bit points took 3.4 s and peak at 337 MB,
+# while the cap table's array is turned into a list next to the finished
+# cup list.
 _MAX_TABLE_POINTS = 4096
+# Most points max_convex_subset takes, checked before its edge sort: the
+# sort's keyed list grows as n**2 and the anchor sweeps as n**3.  es:3,12
+# (1024 points) took 212 s CPU at 264 MB peak RSS (2-vCPU Xeon).
+_MAX_CONVEX_POINTS = 1024
 
 
 class WitnessKind(Enum):
@@ -86,9 +107,12 @@ class PairLabel(NamedTuple):
     y_label: int  # length of the longest cap ending at the pair
 
 
+def _coords_below(coords: Sequence[tuple[int, int]], limit: int) -> bool:
+    return all(abs(x) < limit and abs(y) < limit for x, y in coords)
+
+
 def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
-    return all(abs(x) < _INT64_COORD_LIMIT and abs(y) < _INT64_COORD_LIMIT
-               for x, y in coords)
+    return _coords_below(coords, _INT64_COORD_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +126,49 @@ def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
 def _label_tables_python(coords: Sequence[tuple[int, int]]):
     n = len(coords)
     scale = slope_scale(coords)
+    floats = _coords_below(coords, _FLOAT_COORD_LIMIT)
     X = [[1] * n for _ in range(n)]
     Y = [[1] * n for _ in range(n)]
     for i in range(1, n - 1):
         xi, yi = coords[i]
-        # Keys order slopes exactly; for h < i < j the triple (h, i, j)
-        # turns LEFT exactly when slope(i, j) > slope(h, i), RIGHT when <.
-        preds = sorted(
-            ((yi - coords[h][1]) * scale // (xi - coords[h][0]), h)
-            for h in range(i)
-        )
-        succs = sorted(
-            ((coords[j][1] - yi) * scale // (coords[j][0] - xi), j)
-            for j in range(i + 1, n)
-        )
+        before, after = coords[:i], coords[i + 1:]
+        # For h < i < j the triple (h, i, j) turns LEFT exactly when
+        # slope(i, j) > slope(h, i), RIGHT when <.  The sweeps compare only
+        # a predecessor's key with a successor's, so float keys decide
+        # every turn unless such a pair has equal floats (module
+        # docstring); then this anchor takes the exact keys.  Equal floats
+        # among the predecessors alone, or the successors, change no label.
+        if floats:
+            pk = [(yi - y) / (xi - x) for x, y in before]
+            sk = [(y - yi) / (x - xi) for x, y in after]
+        if not floats or not set(sk).isdisjoint(pk):
+            pk = [(yi - y) * scale // (xi - x) for x, y in before]
+            sk = [(y - yi) * scale // (x - xi) for x, y in after]
+        preds = sorted(range(i), key=pk.__getitem__)
+        succs = sorted(range(n - 1 - i), key=sk.__getitem__)
         Xi = X[i]
         Yi = Y[i]
         # cups: sweep successors by increasing slope, growing the strict
         # prefix of predecessors with smaller slope.
         ptr, run = 0, 0
-        for slope, j in succs:
-            while ptr < i and preds[ptr][0] < slope:
-                run = max(run, X[preds[ptr][1]][i])
+        for s in succs:
+            slope = sk[s]
+            while ptr < i and pk[preds[ptr]] < slope:
+                v = X[preds[ptr]][i]
+                if v > run:  # not max(): a call per step costs a fifth
+                    run = v
                 ptr += 1
-            Xi[j] = run + 1
+            Xi[i + 1 + s] = run + 1
         # caps: mirror sweep with decreasing slope.
         ptr, run = i - 1, 0
-        for slope, j in reversed(succs):
-            while ptr >= 0 and preds[ptr][0] > slope:
-                run = max(run, Y[preds[ptr][1]][i])
+        for s in reversed(succs):
+            slope = sk[s]
+            while ptr >= 0 and pk[preds[ptr]] > slope:
+                v = Y[preds[ptr]][i]
+                if v > run:
+                    run = v
                 ptr -= 1
-            Yi[j] = run + 1
+            Yi[i + 1 + s] = run + 1
     return X, Y
 
 
@@ -207,6 +243,12 @@ def _check_table_points(n) -> None:
     if n > _MAX_TABLE_POINTS:
         raise ValueError(f"{n} points exceed the {_MAX_TABLE_POINTS}-point "
                          "limit of the cup/cap label tables")
+
+
+def _check_convex_points(n) -> None:
+    if n > _MAX_CONVEX_POINTS:
+        raise ValueError(f"{n} points exceed the {_MAX_CONVEX_POINTS}-point "
+                         "limit of max_convex_subset")
 
 
 @lru_cache(maxsize=2)
@@ -370,29 +412,48 @@ def _slope_tied_anchors(coords: Sequence[tuple[int, int]]) -> list[bool]:
     return tied.tolist()
 
 
+def _float_slope_tied(coords: Sequence[tuple[int, int]], i: int) -> bool:
+    """Whether two points after anchor i of ``coords`` in (x, y) order
+    have equal float slopes from it, +inf for vertical ones; ``coords``
+    must lie below ``_FLOAT_COORD_LIMIT``."""
+    xi, yi = coords[i]
+    later = coords[i + 1:]
+    return len({(y - yi) / (x - xi) if x != xi else math.inf
+                for x, y in later}) < len(later)
+
+
 def max_collinear(ps: PointSet) -> StructureWitness:
     """A maximum set of members lying on one common line.
 
     Anchor scan: the lexicographically smallest point of a maximal run sees
     the entire rest of the run in a single slope-key bucket (``None`` for
-    the vertical direction).  On int64-safe sets of ``_NUMPY_MIN_POINTS``
-    or more, anchors without a float slope tie (``_slope_tied_anchors``)
-    are skipped: their buckets hold one point each, and ``best`` has two.
+    the vertical direction).  Anchors from which no two later points have
+    equal float slopes are skipped: their buckets hold one point each, and
+    ``best`` has two.  Int64-safe sets of ``_NUMPY_MIN_POINTS`` or more
+    find them all at once (``_slope_tied_anchors``); other sets below
+    ``_FLOAT_COORD_LIMIT`` test each anchor as the scan reaches it.
     """
     if len(ps) < 2:
         raise ValueError("max_collinear needs at least 2 points")
-    order = sorted(range(len(ps)), key=lambda i: (ps[i].x, ps[i].y))
+    # int_coords keeps each axis's order and does not depend on the input
+    # order, so these are the (x, y)-sorted points' own coordinates
+    raw = int_coords(ps)
+    order = sorted(range(len(ps)), key=raw.__getitem__)
     pts = [ps[i] for i in order]
-    coords = int_coords(pts)
+    coords = [raw[i] for i in order]
     scale = slope_scale(coords)
     n = len(pts)
-    tied = (_slope_tied_anchors(coords)
-            if n >= _NUMPY_MIN_POINTS and _int64_safe(coords) else [True] * n)
+    if n >= _NUMPY_MIN_POINTS and _int64_safe(coords):
+        tied = _slope_tied_anchors(coords).__getitem__
+    elif _coords_below(coords, _FLOAT_COORD_LIMIT):
+        tied = partial(_float_slope_tied, coords)
+    else:
+        tied = None
     best: list[int] = [0, 1]
     for i in range(n - 1):
         if n - i <= len(best):
             break
-        if not tied[i]:
+        if tied is not None and not tied(i):
             continue
         groups: dict[Optional[int], list[int]] = {}
         xi, yi = coords[i]
@@ -503,6 +564,7 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
     """
     if len(ps) < 3:
         raise ValueError("max_convex_subset needs at least 3 points")
+    _check_convex_points(len(ps))
     pts = sorted(ps, key=lambda p: (p.y, p.x))
     coords = int_coords(pts)
     n = len(pts)

@@ -1,12 +1,22 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and exact references for the filtered
+kernels.
 
-These deliberately avoid the library's detection code paths: all geometry
-is recomputed here from raw cross products over Fractions, and maxima are
-found by exhaustive subset enumeration.  Only usable at oracle scale.
+The oracles deliberately avoid the library's detection code paths: all
+geometry is recomputed here from raw cross products over Fractions, and
+maxima are found by exhaustive subset enumeration.  Only usable at oracle
+scale.
+
+The references (``exact_label_tables``, ``exact_max_collinear``) are the
+library's algorithms with every slope compared by its exact integer key and
+no float filter, so they return the same tables and witnesses, tie-breaks
+included, at any size.
 """
 
 from functools import cmp_to_key
 from itertools import combinations
+from typing import Optional
+
+from cupcap.geom import int_coords, slope_scale
 
 
 def cross(o, a, b):
@@ -90,6 +100,68 @@ def brute_max_collinear(pts) -> int:
         run = sum(1 for p in pts if cross(a, b, p) == 0)
         best = max(best, run)
     return best
+
+
+def exact_label_tables(coords):
+    """The cup/cap label tables of integer coords in increasing x, as
+    ``extremal._label_tables_python`` builds them, with exact keys only."""
+    n = len(coords)
+    scale = slope_scale(coords)
+    X = [[1] * n for _ in range(n)]
+    Y = [[1] * n for _ in range(n)]
+    for i in range(1, n - 1):
+        xi, yi = coords[i]
+        # Keys order slopes exactly; for h < i < j the triple (h, i, j)
+        # turns LEFT exactly when slope(i, j) > slope(h, i), RIGHT when <.
+        preds = sorted(
+            ((yi - coords[h][1]) * scale // (xi - coords[h][0]), h)
+            for h in range(i)
+        )
+        succs = sorted(
+            ((coords[j][1] - yi) * scale // (coords[j][0] - xi), j)
+            for j in range(i + 1, n)
+        )
+        Xi = X[i]
+        Yi = Y[i]
+        # cups: sweep successors by increasing slope, growing the strict
+        # prefix of predecessors with smaller slope.
+        ptr, run = 0, 0
+        for slope, j in succs:
+            while ptr < i and preds[ptr][0] < slope:
+                run = max(run, X[preds[ptr][1]][i])
+                ptr += 1
+            Xi[j] = run + 1
+        # caps: mirror sweep with decreasing slope.
+        ptr, run = i - 1, 0
+        for slope, j in reversed(succs):
+            while ptr >= 0 and preds[ptr][0] > slope:
+                run = max(run, Y[preds[ptr][1]][i])
+                ptr -= 1
+            Yi[j] = run + 1
+    return X, Y
+
+
+def exact_max_collinear(ps):
+    """The members of ``extremal.max_collinear``'s witness, by its anchor
+    scan over every anchor with exact slope keys."""
+    pts = sorted(ps, key=lambda p: (p.x, p.y))
+    coords = int_coords(pts)
+    scale = slope_scale(coords)
+    n = len(pts)
+    best = [0, 1]
+    for i in range(n - 1):
+        if n - i <= len(best):
+            break
+        groups: dict[Optional[int], list[int]] = {}
+        xi, yi = coords[i]
+        for j in range(i + 1, n):
+            dx = coords[j][0] - xi
+            key = (coords[j][1] - yi) * scale // dx if dx else None
+            groups.setdefault(key, []).append(j)
+        for members in groups.values():
+            if len(members) + 1 > len(best):
+                best = [i] + members
+    return [pts[i] for i in best]
 
 
 def _levelwise_max(n: int, predicate) -> int:

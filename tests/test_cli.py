@@ -61,6 +61,17 @@ class TestGen:
         assert not out.exists()
         assert "4096-point limit" in capsys.readouterr().err
 
+    def test_over_convex_limit_refused_before_building(self, tmp_path,
+                                                       capsys):
+        # es:3,13 has 2048 points: under the table limit, over the
+        # max_convex_subset limit its certificate needs
+        out = tmp_path / "es.pts"
+        assert run("gen-es", "3", "13", "--out", str(out),
+                   "--cert", str(tmp_path / "c.json")) == 2
+        assert not out.exists()
+        assert ("2048 points exceed the 1024-point limit of "
+                "max_convex_subset") in capsys.readouterr().err
+
     def test_construction_error_exits_two(self, tmp_path, monkeypatch,
                                           capsys):
         def fail(l, m, n):
@@ -141,6 +152,19 @@ class TestAnalyze:
         assert run("analyze", "--in", str(f), "--report", str(rep)) == 2
         assert not rep.exists()
         assert "4097 points exceed" in capsys.readouterr().err
+
+    def test_over_convex_limit_exits_two(self, tmp_path, capsys):
+        # under the table limit: refused before any table is built
+        f, rep = tmp_path / "big.pts", tmp_path / "r.json"
+        f.write_text("espts v1\n" + "".join(f"{i} {i * i}\n"
+                                            for i in range(1025)))
+        assert run("analyze", "--in", str(f), "--report", str(rep)) == 2
+        assert not rep.exists()
+        assert "1025 points exceed the 1024-point limit" in \
+            capsys.readouterr().err
+        assert run("verify", "--in", str(f), "--claim", "es:3,12",
+                   "--report", str(rep)) == 2
+        assert not rep.exists()
 
     def test_handles_duplicate_x_by_shearing(self, tmp_path):
         f = tmp_path / "v.pts"

@@ -187,6 +187,81 @@ class TestMaxCollinear:
             assert len(max_collinear(ps)) == 2
 
 
+def reference_set(kind: str) -> list[tuple[int, int]]:
+    """Integer coords in increasing x for the float-filter tests."""
+    rng = random.Random(1997)
+    if kind == "float_tie":
+        # the slopes a/b into (A, A) and c/d out of it round to one float
+        # but differ, b*c - a*d == 1, so the triple turns left.  The
+        # padding lies to the right, so (A, A) has this one predecessor.
+        A, b = 1 << 70, (1 << 68) + 3
+        a, c, d = b - 1, b, b + 1
+        assert a / b == c / d and b * c - a * d == 1
+        pad = {A + d + 1 + rng.randrange(A): rng.randrange(A)
+               for _ in range(25)}
+        return sorted([(A - b, A - a), (A, A), (A + d, A + c),
+                       *pad.items()])
+    if kind == "grid":
+        # a 6 x 6 grid under a linear map with coefficients of about
+        # 2**70: exact collinear triples along every grid line
+        s, t = rng.randrange(1 << 69, 1 << 70), rng.randrange(1 << 70)
+        return sorted((x * s + y, y * t - x)
+                      for x in range(6) for y in range(6))
+    if kind == "runs":
+        # five runs of four points, and noise, at 2**60; keyed by x
+        pts = {}
+        for _ in range(5):
+            x, y = rng.randrange(1 << 60), rng.randrange(1 << 60)
+            dx, dy = rng.randrange(1, 1 << 56), rng.randrange(-(1 << 56),
+                                                           1 << 56)
+            pts.update((x + k * dx, y + k * dy) for k in range(4))
+        pts.update((rng.randrange(1 << 60), rng.randrange(1 << 60))
+                   for _ in range(10))
+        return sorted(pts.items())
+    if kind == "wide":
+        # 1100-bit slopes overflow a float, so the set takes exact keys;
+        # one exact collinear triple
+        ys = [rng.randrange(1 << 1100) for _ in range(30)]
+        ys[2] = 2 * ys[1] - ys[0]
+        return list(enumerate(ys))
+    assert kind == "edge"
+    # coordinates just below the float limit, differences just below
+    # 2**1023: the float path without overflow
+    top = extremal._FLOAT_COORD_LIMIT - 1
+    return [(0, -top), (1, top), (2, 0), (3, top - 5), (4, -top + 3),
+            (5, 7), (6, -7)]
+
+
+class TestExactReferences:
+    """The float-filtered pure-Python kernels give the all-exact
+    references' tables and witnesses (oracles.exact_label_tables,
+    oracles.exact_max_collinear)."""
+
+    @pytest.mark.parametrize("kind", ["float_tie", "grid", "runs", "wide",
+                                      "edge"])
+    def test_matches_reference(self, kind):
+        coords = reference_set(kind)
+        assert _label_tables_python(coords) == \
+            oracles.exact_label_tables(coords)
+        ps = PointSet.of(coords)
+        assert list(max_collinear(ps).members) == \
+            oracles.exact_max_collinear(ps)
+
+    def test_float_tie_decided_exactly(self):
+        X, Y = _label_tables_python(reference_set("float_tie"))
+        assert (X[1][2], Y[1][2]) == (2, 1)
+
+    def test_guard_keeps_overflowing_sets_exact(self):
+        coords = reference_set("wide")
+        (x0, y0), (x1, y1) = coords[:2]
+        with pytest.raises(OverflowError):
+            (y1 - y0) / (x1 - x0)
+        assert not extremal._coords_below(coords, extremal._FLOAT_COORD_LIMIT)
+        assert extremal._coords_below(reference_set("edge"),
+                                      extremal._FLOAT_COORD_LIMIT)
+        assert len(max_collinear(PointSet.of(coords))) == 3
+
+
 class TestMaxConvexSubset:
     def test_grid_is_six(self):
         # oracle-computed over all 2^9 subsets
@@ -205,6 +280,15 @@ class TestMaxConvexSubset:
     def test_requires_three(self):
         with pytest.raises(ValueError):
             max_convex_subset(PointSet.of([(0, 0), (1, 1)]))
+
+    def test_over_limit_refused_before_edge_sort(self, monkeypatch):
+        def unreached(coords):
+            raise AssertionError("edges sorted for an over-limit set")
+
+        monkeypatch.setattr(extremal, "_edges_by_angle", unreached)
+        n = extremal._MAX_CONVEX_POINTS + 1
+        with pytest.raises(ValueError, match=f"{n} points exceed"):
+            max_convex_subset(PointSet.of([(i, i * i) for i in range(n)]))
 
     def test_oracle_equivalence(self):
         rng = random.Random(31)
