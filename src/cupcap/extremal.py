@@ -229,14 +229,28 @@ def _label_tables(coords: Sequence[tuple[int, int]]):
     return _label_tables_python(coords)
 
 
-def _sorted_distinct_x(ps: PointSet) -> list[Point]:
-    pts = sorted(ps, key=lambda p: (p.x, p.y))
-    for a, b in zip(pts, pts[1:]):
-        if a.x == b.x:
+def _sorted_coords(ps: PointSet
+                   ) -> tuple[list[Point], list[tuple[int, int]]]:
+    """The points in (x, y) order, with their ``int_coords``.
+
+    ``int_coords`` keeps each axis's order and does not depend on the input
+    order, so one call on the input sorts the points and gives the sorted
+    points' own coordinates."""
+    raw = int_coords(ps)
+    order = sorted(range(len(ps)), key=raw.__getitem__)
+    return [ps[i] for i in order], [raw[i] for i in order]
+
+
+def _sorted_distinct_x(ps: PointSet
+                       ) -> tuple[list[Point], list[tuple[int, int]]]:
+    """``_sorted_coords``, refusing a set with two equal x-coordinates."""
+    pts, coords = _sorted_coords(ps)
+    for i in range(1, len(coords)):
+        if coords[i - 1][0] == coords[i][0]:
             raise ValueError(
-                f"x-coordinates are not pairwise distinct ({a!r}, {b!r}); "
-                "normalize with shear_distinct_x first")
-    return pts
+                f"x-coordinates are not pairwise distinct ({pts[i - 1]!r}, "
+                f"{pts[i]!r}); normalize with shear_distinct_x first")
+    return pts, coords
 
 
 def _check_table_points(n) -> None:
@@ -261,8 +275,7 @@ def _detection_tables(ps: PointSet, reflected: bool):
     order, so the longest cup starting at (i, j) has
     ``XR[n-1-j][n-1-i] + 1`` points."""
     _check_table_points(len(ps))
-    pts = _sorted_distinct_x(ps)
-    coords = int_coords(pts)
+    pts, coords = _sorted_distinct_x(ps)
     X, Y = _label_tables([(-x, y) for x, y in reversed(coords)]
                          if reflected else coords)
     return pts, coords, X, Y
@@ -435,12 +448,7 @@ def max_collinear(ps: PointSet) -> StructureWitness:
     """
     if len(ps) < 2:
         raise ValueError("max_collinear needs at least 2 points")
-    # int_coords keeps each axis's order and does not depend on the input
-    # order, so these are the (x, y)-sorted points' own coordinates
-    raw = int_coords(ps)
-    order = sorted(range(len(ps)), key=raw.__getitem__)
-    pts = [ps[i] for i in order]
-    coords = [raw[i] for i in order]
+    pts, coords = _sorted_coords(ps)
     scale = slope_scale(coords)
     n = len(pts)
     if n >= _NUMPY_MIN_POINTS and _int64_safe(coords):

@@ -3,7 +3,8 @@
 Points have arbitrary-precision rational coordinates (``fractions.Fraction``).
 Predicates run on them directly or on the exact integer coordinates
 ``int_coords`` derives from them; the convex hull and hull containment run
-on the integer coordinates only (``int_hull``, ``int_hull_contains``).
+on the integer coordinates only (``int_hull``, ``int_hull_contains`` on
+the half-planes of ``int_halfplanes``).
 Every predicate is a deterministic exact sign computation.  No floating
 point is used anywhere in this module.  All functions are pure and safe to
 call concurrently.
@@ -226,19 +227,36 @@ def int_hull(coords: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
+def int_halfplanes(hull: Sequence[tuple[int, int]]
+                   ) -> list[tuple[int, int, int]]:
+    """Integer triples (a, b, k) such that ``a*x + b*y >= k`` for every
+    triple holds exactly on the closed hull, for a hull built by
+    ``int_hull``.
+
+    Three or more vertices give one triple per edge u -> v, whose value
+    minus k is ``int_cross(u, v, p)``.  Two vertices give both directions
+    of the edge (the line) and the dot-product bounds
+    ``(b - a).p >= (b - a).a`` and ``(a - b).p >= (a - b).b`` (the
+    segment on it); one vertex gives the four axis bounds.
+    """
+    if len(hull) == 1:
+        (x, y), = hull
+        return [(1, 0, x), (-1, 0, -x), (0, 1, y), (0, -1, -y)]
+    edges = zip(hull, hull[1:] + hull[:1])
+    planes = [(uy - vy, vx - ux, (uy - vy) * ux + (vx - ux) * uy)
+              for (ux, uy), (vx, vy) in edges]
+    if len(hull) == 2:
+        (ax, ay), (bx, by) = hull
+        dx, dy = bx - ax, by - ay
+        planes += [(dx, dy, dx * ax + dy * ay), (-dx, -dy, -dx * bx - dy * by)]
+    return planes
+
+
 def int_hull_contains(hull: Sequence[tuple[int, int]],
                       p: tuple[int, int]) -> bool:
     """Closed containment of p in a hull built by ``int_hull``."""
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if int_cross(a, b, p) != 0:
-            return False
-        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-    return all(int_cross(hull[i - 1], hull[i], p) >= 0
-               for i in range(len(hull)))
+    x, y = p
+    return all(a * x + b * y >= k for a, b, k in int_halfplanes(hull))
 
 
 def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:

@@ -41,7 +41,7 @@ from .extremal import (StructureWitness, WitnessKind, _chain_backward,
                        _chain_sign, _int64_safe, _max_label_pair,
                        _sorted_distinct_x, is_cap, is_cup)
 from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
-                   int_coords, int_cross, int_hull, int_hull_contains,
+                   int_coords, int_cross, int_halfplanes, int_hull,
                    is_convex_position, point_in_convex_hull,
                    point_in_convex_region)
 
@@ -258,8 +258,7 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
         raise ValueError(f"search budget must be at least 1, got {budget}")
     if n < k:
         raise ValueError("not enough points")
-    pts = _sorted_distinct_x(p)
-    coords = int_coords(pts)
+    pts, coords = _sorted_distinct_x(p)
     c = _coord_array(coords)
 
     rng = random.Random(seed)
@@ -549,33 +548,55 @@ class PartialOrderInstance:
 
 
 def conv_order(p: PointSet, body: ConvexBody) -> PartialOrderInstance:
+    """The conv order of p relative to the body K: p_i < p_k iff p_i lies
+    in conv(K + p_k), boundary inclusive, for i != k.
+
+    For each k, conv(K + p_k) is an ``int_hull`` on one ``int_coords``
+    array, and each of its closed half-planes (``int_halfplanes``) filters
+    the remaining candidates in one pass, exactly, on Python ints of any
+    size: O(n^2 * (v + 1)) integer operations for a body of v vertices.
+    The predecessors of p_k become one bitmask, ``mask[k]``.
+
+    The relation is transitive: p_i in conv(K + p_j) and p_j in
+    conv(K + p_k) put K + p_j, hence conv(K + p_j) and p_i, inside
+    conv(K + p_k).  It is antisymmetric unless two points lie in K itself:
+    p_j < p_k < p_j makes the two hulls equal, and a point outside K is a
+    vertex of its own hull.  Both properties are still checked, as
+    ``mask[j] & ~mask[k] == 0`` for each k and each j below k, in
+    O(|relation|) big-int operations: a stray bit k breaks antisymmetry,
+    any other bit i transitivity.  ``OrderViolation`` reports the first
+    violation met with k ascending and, for each k, j ascending below k:
+    the pair (p_k, p_j), which is then the first pair in index order that
+    lie in each other's hulls, or the triple (p_i, p_j, p_k) with the
+    least such i.
+    """
     pts = tuple(p)
     n = len(pts)
     c = int_coords([*pts, *body.vertices])
     verts = c[n:]
-    rel = set()
-    for j in range(n):
-        hull_j = int_hull([*verts, c[j]])
-        for i in range(n):
-            if i != j and int_hull_contains(hull_j, c[i]):
-                rel.add((i, j))
-    for (i, j) in rel:
-        if (j, i) in rel:
-            raise OrderViolation(
-                "conv order is not antisymmetric", (pts[i], pts[j]))
-    preds: list[list[int]] = [[] for _ in range(n)]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for (i, j) in rel:
-        preds[j].append(i)
-        succs[i].append(j)
-    for j in range(n):
-        for i in preds[j]:
-            for k in succs[j]:
-                if i != k and (i, k) not in rel:
-                    raise OrderViolation(
-                        "conv order is not transitive",
-                        (pts[i], pts[j], pts[k]))
-    return PartialOrderInstance(pts, body, frozenset(rel))
+    xs = [x for x, _ in c[:n]]
+    ys = [y for _, y in c[:n]]
+    belows = []
+    for k in range(n):
+        below = range(n)
+        for a, b, t in int_halfplanes(int_hull([*verts, c[k]])):
+            below = [i for i in below if a * xs[i] + b * ys[i] >= t]
+        below.remove(k)
+        belows.append(below)
+    masks = [sum(1 << i for i in below) for below in belows]
+    for k, below in enumerate(belows):
+        outside = ~masks[k]
+        for j in below:
+            extra = masks[j] & outside
+            if extra >> k & 1:
+                raise OrderViolation(
+                    "conv order is not antisymmetric", (pts[k], pts[j]))
+            if extra:
+                i = (extra & -extra).bit_length() - 1
+                raise OrderViolation(
+                    "conv order is not transitive", (pts[i], pts[j], pts[k]))
+    rel = frozenset((i, k) for k, below in enumerate(belows) for i in below)
+    return PartialOrderInstance(pts, body, rel)
 
 
 @dataclass(frozen=True)
@@ -591,8 +612,12 @@ def dilworth(instance: PartialOrderInstance) -> DilworthResult:
     n - max_matching extracted from the matching's vertex cover."""
     n = len(instance.points)
     rel = instance.relation
-    preds = [[i for i in range(n) if (i, j) in rel] for j in range(n)]
-    succs = [[j for j in range(n) if (i, j) in rel] for i in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    succs: list[list[int]] = [[] for _ in range(n)]
+    # sorted pairs list each vertex's neighbours in increasing index order
+    for i, j in sorted(rel):
+        preds[j].append(i)
+        succs[i].append(j)
     # the relation is transitively closed, so |preds| sorts topologically
     topo = sorted(range(n), key=lambda i: len(preds[i]))
     lp = [1] * n

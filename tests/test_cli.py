@@ -374,6 +374,28 @@ assert main(["analyze", "--in", r"{d / 'es.pts'}", "--report",
              r"{d / 'a.json'}", "--l", "3", "--m", "8", "--n", "8"]) == 0
 """)
 
+    def test_relative_steps_skip_numpy(self):
+        # the relative_body calls: conv_order + dilworth on 50 points,
+        # cell_profile, and the inner-cap and outer-cup chains
+        assert not self.numpy_loaded("""
+import random
+from cupcap import (ConvexBody, Point, PointSet, cell_profile, conv_order,
+                    dilworth, longest_inner_cap, longest_outer_cup)
+rng = random.Random(3)
+pts = set()
+while len(pts) < 50:
+    pts.add((rng.randrange(-60, 61), rng.randrange(1, 120)))
+base = ConvexBody.segment(Point.of(-8, -1), Point.of(8, -1))
+assert dilworth(conv_order(PointSet.of(sorted(pts)), base)).h > 1
+cell = PointSet.of([(-3, 4), (0, 9), (2, 5), (5, 12), (-6, 20)])
+cell_profile(cell, Point.of(-20, 0), Point.of(20, 0),
+             ConvexBody.segment(Point.of(-10, 0), Point.of(10, 0)))
+ps = PointSet.of([(-6, 5), (-2, 3), (2, 3), (6, 5), (1, 9)])
+body = ConvexBody.point(Point.of(0, -20))
+assert len(longest_inner_cap(ps, body)) > 1
+assert len(longest_outer_cup(ps, body)) > 1
+""")
+
     def test_fat_cap_loads_numpy(self, tmp_path):
         src = tmp_path / "p.pts"
         assert self.numpy_loaded(f"""

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,11 @@ class TestLongestCupCap:
     def test_requires_distinct_x(self):
         with pytest.raises(ValueError):
             longest_cup(PointSet.of([(0, 0), (0, 1), (1, 0)]))
+        # the message names the first equal-x pair in (x, y) order
+        with pytest.raises(ValueError, match=re.escape(
+                "x-coordinates are not pairwise distinct (Point(1, 2), "
+                "Point(1, 7)); normalize with shear_distinct_x first")):
+            longest_cup(PointSet.of([(3, 5), (1, 7), (3, 1), (1, 2)]))
 
     def test_lexicographic_tie_break(self):
         # several 3-cups but no 4-cup; the witness must take the earliest

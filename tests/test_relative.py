@@ -785,6 +785,57 @@ class TestConvOrder:
     def test_degenerate_cases_match_brute_oracle(self, pairs, body):
         self.assert_matches_oracle(PointSet.of(pairs), body)
 
+    @staticmethod
+    def boundary_instance(rng, n, kind, span):
+        """A point, segment or polygon body with y in [-span, -1] and n
+        points above it.  About a third of the points lie on the boundary
+        of a drawn point q's hull with the body: halfway from a body vertex
+        to q, or twice as far."""
+
+        def body_point():
+            return pt(rng.randrange(-span, span), -rng.randrange(1, span))
+
+        size = {"point": 1, "segment": 2, "polygon": rng.randrange(3, 6)}[kind]
+        while True:
+            hull = convex_hull([body_point() for _ in range(size)])
+            if len(hull) >= min(size, 3):
+                break
+        body = ConvexBody(hull)
+        drawn, pts = [], {}
+        while len(pts) < n:
+            if drawn and rng.randrange(3) == 0:
+                q, z = rng.choice(drawn), rng.choice(hull)
+                t = rng.choice((Fraction(1, 2), 2))
+                pts[Point(z.x + t * (q.x - z.x), z.y + t * (q.y - z.y))] = None
+            else:
+                q = pt(rng.randrange(-span, span), rng.randrange(span, 2 * span))
+                drawn.append(q)
+                pts[q] = None
+        return PointSet(pts), body
+
+    @pytest.mark.parametrize("kind", BODY_KINDS)
+    def test_large_sets_match_brute_oracle(self, kind):
+        # 30-60 points on small coordinates, and on coordinates from 2^70
+        # to 2^72, which no fixed-width integer holds
+        rng = random.Random(47)
+        for span in (40, 1 << 71, 1 << 71):
+            ps, body = self.boundary_instance(rng, rng.randrange(30, 61),
+                                              kind, span)
+            self.assert_matches_oracle(ps, body)
+
+    def test_mutual_containment_reports_first_pair(self):
+        # (4, 0), (1, 0) and (2, 0) lie in the segment body, so each lies in
+        # the hull of the body with any other; (7, 0) lies beyond it.  The
+        # witness is the first such pair in index order.
+        body = ConvexBody.segment(pt(0, 0), pt(6, 0))
+        ps = PointSet.of([(5, 3), (4, 0), (7, 0), (1, 0), (2, 0)])
+        with pytest.raises(OrderViolation, match="antisymmetric") as info:
+            conv_order(ps, body)
+        p, q = info.value.witness
+        assert (p, q) == (pt(4, 0), pt(1, 0))
+        assert oracles.point_in_hull_closed(p, [q, *body.vertices])
+        assert oracles.point_in_hull_closed(q, [p, *body.vertices])
+
 
 class TestDilworth:
     def test_total_order(self):
@@ -827,6 +878,38 @@ class TestDilworth:
             an = [idx[p] for p in res.max_antichain]
             assert all(not inst.less_idx(i, j) and not inst.less_idx(j, i)
                        for i in an for j in an if i != j)
+
+    def test_relation_and_witnesses_pinned(self):
+        # a sha256 over the conv_order relation and every dilworth output
+        # (sizes, chain and antichain members, in order) on seeded sets of
+        # 12-60 points above point, segment and polygon bodies; any change
+        # to the relation or to which witnesses Dilworth picks fails it
+        rng = random.Random(17)
+        digest = hashlib.sha256()
+        done = 0
+        while done < 30:
+            kind = BODY_KINDS[done % 3]
+            if kind == "point":
+                body = ConvexBody.point(pt(rng.randrange(-10, 11),
+                                           rng.randrange(-20, 0)))
+            elif kind == "segment":
+                body = ConvexBody.segment(pt(rng.randrange(-15, -1), -2),
+                                          pt(rng.randrange(1, 15), -2))
+            else:
+                body = random_polygon(rng, -8)
+                if body is None:
+                    continue
+            pts, n = set(), rng.randrange(12, 61)
+            while len(pts) < n:
+                pts.add((rng.randrange(-40, 41), rng.randrange(1, 60)))
+            inst = conv_order(PointSet.of(sorted(pts)), body)
+            res = dilworth(inst)
+            digest.update(repr((sorted(inst.relation), res.v, res.h,
+                                res.longest_chain,
+                                res.max_antichain)).encode() + b"\n")
+            done += 1
+        assert digest.hexdigest() == (
+            "ef84842f3249de18f2d5fb41adca4a0c9c776d913b6aa41d039a840766ca78f4")
 
 
 class TestCellProfile:
