@@ -229,8 +229,14 @@ def _cmd_fat_cap(args, cfg: RunConfig) -> int:
 
 def _svg_document(ps: PointSet, highlight: list[int]) -> str:
     width, height, margin = 800.0, 600.0, 40.0
-    xs = [float(p.x) for p in ps]
-    ys = [float(p.y) for p in ps]
+    xs, ys = [], []
+    for i, p in enumerate(ps):
+        try:
+            xs.append(float(p.x))
+            ys.append(float(p.y))
+        except OverflowError:
+            raise ValueError(f"point {i}, {p!r}, lies beyond the float "
+                             "range; plot cannot draw it") from None
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     spanx = (xmax - xmin) or 1.0

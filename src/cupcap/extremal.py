@@ -25,9 +25,8 @@ Conventions:
   undecided.  The pure-Python tables give every anchor where a
   predecessor's float equals a successor's the exact keys, and
   ``max_collinear`` groups every anchor with a float tie by exact keys.
-  The division raises OverflowError for a quotient of 2**1024 or more, so
-  sets with a coordinate of ``_FLOAT_COORD_LIMIT`` or more take exact keys
-  throughout.
+  The division's one failure, OverflowError for a quotient of 2**1024 or
+  more, sends its anchor to the exact keys as well.
 * Vectorized int64 kernels (the label tables, and ``max_collinear``'s
   anchor prefilter) run on sets of ``_NUMPY_MIN_POINTS`` or more with
   |coordinate| < 2**30.  Every difference is then an integer below 2**31,
@@ -52,20 +51,15 @@ from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 # ``relative._coord_array`` take the int64 path only there, and the
 # pure-Python path of Python ints above.  Results are identical.
 _INT64_COORD_LIMIT = 1 << 30
-# Below this coordinate magnitude the pure-Python kernels filter by the float
-# slope ``dy / dx`` of Python ints, which raises OverflowError for a quotient
-# of 2**1024 or more.  Differences are then below 2**1023, and |dx| >= 1, so
-# every quotient rounds to at most 2**1023.  Larger sets take exact keys
-# throughout.
-_FLOAT_COORD_LIMIT = 1 << 1022
 # Below this size the int64 kernels do not pay for numpy's dispatch.  On
 # 20-bit random sets (40 sets a size, median of 15 interleaved runs, 2-vCPU
 # Xeon, numpy 2.4.6) the float-filtered Python tables took 0.70 of the
-# int64 tables' time at 32 points, 0.81 at 38, 0.85 at 40 and 1.16 at 48,
-# so they break even between 40 and 48 points; the all-exact sweep took
-# 1.15 at 32.  Raising the value moves sets between paths, which needs its
-# own measured pairs.  The same bound gates ``max_collinear``'s int64
-# prefilter.
+# int64 tables' time at 32 points, 0.81 at 38, 0.85 at 40 and 1.16 at 48.
+# Raising the value moves sets between paths, which needs its own measured
+# pairs.  It also gates ``max_collinear``'s int64 prefilter, which pays off
+# sooner: on 20-bit general-position sets it took 0.05 ms a set against
+# the per-anchor set test's 0.07 at 20 points, 0.08 against 0.27 at 38 and
+# 1.5 against 9.3 at 253 (20 sets a size, median of 7 runs, numpy loaded).
 _NUMPY_MIN_POINTS = 38
 # Most points the label tables are built for.  Both pure-Python tables of
 # 4096 random 60-bit points took 26.5 s CPU at 291 MB peak RSS, and of 2048
@@ -107,12 +101,9 @@ class PairLabel(NamedTuple):
     y_label: int  # length of the longest cap ending at the pair
 
 
-def _coords_below(coords: Sequence[tuple[int, int]], limit: int) -> bool:
-    return all(abs(x) < limit and abs(y) < limit for x, y in coords)
-
-
 def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
-    return _coords_below(coords, _INT64_COORD_LIMIT)
+    return all(abs(x) < _INT64_COORD_LIMIT and abs(y) < _INT64_COORD_LIMIT
+               for x, y in coords)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +117,6 @@ def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
 def _label_tables_python(coords: Sequence[tuple[int, int]]):
     n = len(coords)
     scale = slope_scale(coords)
-    floats = _coords_below(coords, _FLOAT_COORD_LIMIT)
     X = [[1] * n for _ in range(n)]
     Y = [[1] * n for _ in range(n)]
     for i in range(1, n - 1):
@@ -135,13 +125,17 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
         # For h < i < j the triple (h, i, j) turns LEFT exactly when
         # slope(i, j) > slope(h, i), RIGHT when <.  The sweeps compare only
         # a predecessor's key with a successor's, so float keys decide
-        # every turn unless such a pair has equal floats (module
-        # docstring); then this anchor takes the exact keys.  Equal floats
-        # among the predecessors alone, or the successors, change no label.
-        if floats:
+        # every turn unless such a pair has equal floats or a division
+        # overflows (module docstring); then this anchor takes the exact
+        # keys.  Equal floats among predecessors or successors alone do not.
+        try:
             pk = [(yi - y) / (xi - x) for x, y in before]
             sk = [(y - yi) / (x - xi) for x, y in after]
-        if not floats or not set(sk).isdisjoint(pk):
+        except OverflowError:
+            exact = True
+        else:
+            exact = not set(sk).isdisjoint(pk)
+        if exact:
             pk = [(yi - y) * scale // (xi - x) for x, y in before]
             sk = [(y - yi) * scale // (x - xi) for x, y in after]
         preds = sorted(range(i), key=pk.__getitem__)
@@ -427,12 +421,15 @@ def _slope_tied_anchors(coords: Sequence[tuple[int, int]]) -> list[bool]:
 
 def _float_slope_tied(coords: Sequence[tuple[int, int]], i: int) -> bool:
     """Whether two points after anchor i of ``coords`` in (x, y) order
-    have equal float slopes from it, +inf for vertical ones; ``coords``
-    must lie below ``_FLOAT_COORD_LIMIT``."""
+    have equal float slopes from it, +inf for vertical ones, or a slope
+    overflows a float."""
     xi, yi = coords[i]
     later = coords[i + 1:]
-    return len({(y - yi) / (x - xi) if x != xi else math.inf
-                for x, y in later}) < len(later)
+    try:
+        return len({(y - yi) / (x - xi) if x != xi else math.inf
+                    for x, y in later}) < len(later)
+    except OverflowError:
+        return True
 
 
 def max_collinear(ps: PointSet) -> StructureWitness:
@@ -443,8 +440,8 @@ def max_collinear(ps: PointSet) -> StructureWitness:
     the vertical direction).  Anchors from which no two later points have
     equal float slopes are skipped: their buckets hold one point each, and
     ``best`` has two.  Int64-safe sets of ``_NUMPY_MIN_POINTS`` or more
-    find them all at once (``_slope_tied_anchors``); other sets below
-    ``_FLOAT_COORD_LIMIT`` test each anchor as the scan reaches it.
+    find them all at once (``_slope_tied_anchors``); other sets test each
+    anchor as the scan reaches it, and scan one whose division overflows.
     """
     if len(ps) < 2:
         raise ValueError("max_collinear needs at least 2 points")
@@ -453,15 +450,13 @@ def max_collinear(ps: PointSet) -> StructureWitness:
     n = len(pts)
     if n >= _NUMPY_MIN_POINTS and _int64_safe(coords):
         tied = _slope_tied_anchors(coords).__getitem__
-    elif _coords_below(coords, _FLOAT_COORD_LIMIT):
-        tied = partial(_float_slope_tied, coords)
     else:
-        tied = None
+        tied = partial(_float_slope_tied, coords)
     best: list[int] = [0, 1]
     for i in range(n - 1):
         if n - i <= len(best):
             break
-        if tied is not None and not tied(i):
+        if not tied(i):
             continue
         groups: dict[Optional[int], list[int]] = {}
         xi, yi = coords[i]

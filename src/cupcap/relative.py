@@ -380,6 +380,11 @@ def _radial(p: Sequence[Point], body: ConvexBody
     order-comparable through the body (one member lies in the hull of the
     body with the other), so structures built from body-avoiding pairs are
     ordered exactly as in the strict radial order.
+
+    With avoidance too the order is strict and total: points on distinct
+    rays from z get distinct keys in tangent order, the later clockwise, so
+    the body lies right of p -> q for p before q; two points on one ray span
+    a line through z, and avoidance has already refused that pair.
     """
     n = len(p)
     c = int_coords([*p, *body.vertices])
@@ -403,21 +408,14 @@ def _radial(p: Sequence[Point], body: ConvexBody
 
 
 def _strict_radial(p: Sequence[Point], body: ConvexBody):
-    """``_radial`` with the avoidance and total-order checks of
-    ``radial_order``, in that order, on the same integer array."""
+    """``_radial`` with the avoidance check of ``radial_order`` on the
+    same integer array, which makes the order total (``_radial``)."""
     order, c, verts = _radial(p, body)
     for i, j in itertools.combinations(range(len(c)), 2):
         if not _line_misses(c[i], c[j], verts):
             raise AvoidanceError(
                 f"line through {p[i]!r} and {p[j]!r} meets the body",
                 (p[i], p[j]))
-    # avoidance puts the whole body strictly on one side of each pair line,
-    # so one vertex decides the side; p precedes q when the body lies to
-    # the right of the directed line p -> q.
-    for i, j in itertools.combinations(order, 2):
-        if int_cross(c[i], c[j], verts[0]) >= 0:
-            raise OrderViolation(
-                "radial comparisons are not a total order", (p[i], p[j]))
     return order, c, verts
 
 

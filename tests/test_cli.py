@@ -270,6 +270,18 @@ class TestPlot:
         assert text.startswith("<svg") and "<circle" in text and \
             "polyline" in text
 
+    def test_coordinate_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # float(2**1100) overflows; the error names the point and no SVG
+        # is written
+        pts = tmp_path / "huge.pts"
+        pts.write_text(f"espts v1\n0 {2**1100}\n1 0\n2 5\n")
+        svg = tmp_path / "h.svg"
+        assert run("plot", "--in", str(pts), "--svg", str(svg)) == 2
+        err = capsys.readouterr().err
+        assert f"point 0, Point(0, {2**1100})," in err
+        assert "beyond the float range" in err and "Traceback" not in err
+        assert not svg.exists()
+
     def test_highlight_out_of_range(self, tmp_path):
         out = tmp_path / "x.pts"
         run("gen-x", "3", "4", "4", "--out", str(out))

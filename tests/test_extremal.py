@@ -225,15 +225,31 @@ def reference_set(kind: str) -> list[tuple[int, int]]:
                    for _ in range(10))
         return sorted(pts.items())
     if kind == "wide":
-        # 1100-bit slopes overflow a float, so the set takes exact keys;
-        # one exact collinear triple
+        # 1100-bit slopes overflow a float, so every anchor takes exact
+        # keys; one exact collinear triple
         ys = [rng.randrange(1 << 1100) for _ in range(30)]
         ys[2] = 2 * ys[1] - ys[0]
         return list(enumerate(ys))
+    if kind in ("huge", "mixed"):
+        # both axes near 2**1100, differences near 2**1090, so every slope
+        # fits a float; a planted 5-point run
+        base = 1 << 1100
+        pts = {base + rng.randrange(1 << 1090): base + rng.randrange(1 << 1090)
+               for _ in range(35)}
+        x, y = base + rng.randrange(1 << 1090), base + rng.randrange(1 << 1090)
+        dx, dy = rng.randrange(1, 1 << 1080), rng.randrange(-(1 << 1080),
+                                                          1 << 1080)
+        pts.update((x + k * dx, y + k * dy) for k in range(5))
+        if kind == "mixed":
+            # pairs with dx = 1 and dy >= 2**1024: the division overflows
+            # at the pairs' members and fits a float at the other anchors
+            for x in rng.sample(sorted(pts), 3):
+                pts[x + 1] = pts[x] + (1 << 1030) + rng.randrange(1 << 1030)
+        return sorted(pts.items())
     assert kind == "edge"
-    # coordinates just below the float limit, differences just below
-    # 2**1023: the float path without overflow
-    top = extremal._FLOAT_COORD_LIMIT - 1
+    # coordinates just below 2**1022, differences just below 2**1023: the
+    # float path without overflow
+    top = (1 << 1022) - 1
     return [(0, -top), (1, top), (2, 0), (3, top - 5), (4, -top + 3),
             (5, 7), (6, -7)]
 
@@ -244,7 +260,7 @@ class TestExactReferences:
     oracles.exact_max_collinear)."""
 
     @pytest.mark.parametrize("kind", ["float_tie", "grid", "runs", "wide",
-                                      "edge"])
+                                      "edge", "huge", "mixed"])
     def test_matches_reference(self, kind):
         coords = reference_set(kind)
         assert _label_tables_python(coords) == \
@@ -258,14 +274,33 @@ class TestExactReferences:
         assert (X[1][2], Y[1][2]) == (2, 1)
 
     def test_guard_keeps_overflowing_sets_exact(self):
+        # the slopes of "wide" differ exactly, so an anchor counts as tied
+        # only because its division overflows, and is scanned exactly
         coords = reference_set("wide")
         (x0, y0), (x1, y1) = coords[:2]
         with pytest.raises(OverflowError):
             (y1 - y0) / (x1 - x0)
-        assert not extremal._coords_below(coords, extremal._FLOAT_COORD_LIMIT)
-        assert extremal._coords_below(reference_set("edge"),
-                                      extremal._FLOAT_COORD_LIMIT)
+        assert extremal._float_slope_tied(coords, 0)
         assert len(max_collinear(PointSet.of(coords))) == 3
+
+    def test_overflow_is_decided_per_anchor(self):
+        # "huge" takes the float path at every anchor; in "mixed" some
+        # anchors overflow and the others keep their float keys
+        def overflows(coords, i):
+            xi, yi = coords[i]
+            try:
+                [(y - yi) / (x - xi) for x, y in coords if x != xi]
+            except OverflowError:
+                return True
+            return False
+
+        huge, mixed = reference_set("huge"), reference_set("mixed")
+        assert all(c >= 1 << 1100 for xy in huge for c in xy)
+        assert not any(overflows(huge, i) for i in range(len(huge)))
+        flags = [overflows(mixed, i) for i in range(len(mixed))]
+        assert 0 < sum(flags) < len(flags)
+        for coords in (huge, mixed):
+            assert len(max_collinear(PointSet.of(coords))) == 5
 
 
 class TestMaxConvexSubset:
