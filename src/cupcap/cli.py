@@ -239,6 +239,10 @@ def _svg_document(ps: PointSet, highlight: list[int]) -> str:
                              "range; plot cannot draw it") from None
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
+    for axis, lo, hi in (("x", xmin, xmax), ("y", ymin, ymax)):
+        if hi - lo == float("inf"):
+            raise ValueError(f"the {axis} span, {lo:g} to {hi:g}, lies "
+                             "beyond the float range; plot cannot draw it")
     spanx = (xmax - xmin) or 1.0
     spany = (ymax - ymin) or 1.0
     scale = min((width - 2 * margin) / spanx, (height - 2 * margin) / spany)

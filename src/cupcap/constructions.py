@@ -26,8 +26,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import free_set_size_bound
-from .extremal import (_check_convex_points, longest_cap_size,
-                       longest_cup_size, max_collinear, max_convex_subset)
+from .extremal import (_check_convex_points, _detection_tables,
+                       longest_cap_size, longest_cup_size, max_collinear,
+                       max_convex_subset)
 from .geom import Point, PointSet, int_coords, int_cross, int_hull
 
 _MAX_ADAPT_ATTEMPTS = 10_000
@@ -379,10 +380,15 @@ def verify_construction(ps: PointSet, claim: tuple) -> ConstructionCertificate:
     kind = claim[0]
     if kind == "es":
         _check_convex_points(len(ps))
-    # cup and cap first: an over-limit set stops before the collinear scan
-    cup = longest_cup_size(ps) if len(ps) >= 2 else 1
-    cap = longest_cap_size(ps) if len(ps) >= 2 else 1
-    coll = len(max_collinear(ps)) if len(ps) >= 2 else 1
+    if len(ps) < 2:
+        cup = cap = coll = 1
+    else:
+        # cup and cap first: an over-limit set stops before the collinear
+        # scan, which runs only when the tables' sweep saw three collinear
+        # points
+        cup, cap = longest_cup_size(ps), longest_cap_size(ps)
+        coll = (len(max_collinear(ps))
+                if _detection_tables(ps, False).collinear else 2)
     if kind == "x":
         _, l, m, n = claim
         no_coll = coll < l

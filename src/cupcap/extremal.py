@@ -27,6 +27,12 @@ Conventions:
   ``max_collinear`` groups every anchor with a float tie by exact keys.
   The division's one failure, OverflowError for a quotient of 2**1024 or
   more, sends its anchor to the exact keys as well.
+* The label tables also say whether any three points are collinear.  A
+  collinear triple h < i < j has equal exact slopes into and out of i,
+  hence equal floats, so anchor i is decided exactly, where equal exact
+  keys or a zero cross product show the triple.  ``find_structure`` and
+  ``constructions.verify_construction`` run ``max_collinear`` only when
+  that flag is set.
 * Vectorized int64 kernels (the label tables, and ``max_collinear``'s
   anchor prefilter) run on sets of ``_NUMPY_MIN_POINTS`` or more with
   |coordinate| < 2**30.  Every difference is then an integer below 2**31,
@@ -70,9 +76,10 @@ _NUMPY_MIN_POINTS = 38
 # while the cap table's array is turned into a list next to the finished
 # cup list.
 _MAX_TABLE_POINTS = 4096
-# Most points max_convex_subset takes, checked before its edge sort: the
-# sort's keyed list grows as n**2 and the anchor sweeps as n**3.  es:3,12
-# (1024 points) took 212 s CPU at 264 MB peak RSS (2-vCPU Xeon).
+# Most points max_convex_subset takes, checked before its edge sort, whose
+# keyed list grows as n**2.  es:3,12 (1024 points) took 6.9 s CPU at 264 MB
+# peak RSS, a third each in the edge sort, the all-anchor sweep and the
+# witness sweep (2-vCPU Xeon).
 _MAX_CONVEX_POINTS = 1024
 
 
@@ -115,10 +122,16 @@ def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
 
 
 def _label_tables_python(coords: Sequence[tuple[int, int]]):
+    """Cup table X, cap table Y, and whether three points are collinear.
+
+    A collinear triple h < i < j has equal exact slopes into and out of i,
+    so equal floats there, and anchor i takes the exact keys; equal exact
+    keys among its predecessors and successors find it."""
     n = len(coords)
     scale = slope_scale(coords)
     X = [[1] * n for _ in range(n)]
     Y = [[1] * n for _ in range(n)]
+    collinear = False
     for i in range(1, n - 1):
         xi, yi = coords[i]
         before, after = coords[:i], coords[i + 1:]
@@ -138,6 +151,7 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
         if exact:
             pk = [(yi - y) * scale // (xi - x) for x, y in before]
             sk = [(y - yi) * scale // (x - xi) for x, y in after]
+            collinear = collinear or not set(sk).isdisjoint(pk)
         preds = sorted(range(i), key=pk.__getitem__)
         succs = sorted(range(n - 1 - i), key=sk.__getitem__)
         Xi = X[i]
@@ -163,7 +177,7 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
                     run = v
                 ptr -= 1
             Yi[i + 1 + s] = run + 1
-    return X, Y
+    return X, Y, collinear
 
 
 def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
@@ -173,7 +187,8 @@ def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
     The float slopes order exactly except among equal floats (see the
     module docstring).  A successor whose float slope equals some
     predecessor's takes its labels from exact int64 cross products
-    against every predecessor instead.
+    against every predecessor instead.  Every collinear triple is such a
+    successor with a zero cross product, which sets the returned flag.
 
     It returns lists of lists, as ``_label_tables_python`` does, because
     the table readers index a list several times faster than an array; X
@@ -191,6 +206,7 @@ def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
     # cap[i] stay 0, as no earlier anchor writes them.
     cup = np.zeros(n, dtype=np.int16)
     cap = np.zeros(n, dtype=np.int16)
+    collinear = False
     for i in range(1, n - 1):
         dx = x - x[i]
         dy = y - y[i]
@@ -212,9 +228,10 @@ def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
             cr = dy[:i, None] * dx[tied] - dx[:i, None] * dy[tied]
             X[i, tied] = np.where(cr > 0, X[:i, i, None], 0).max(axis=0) + 1
             Y[i, tied] = np.where(cr < 0, Y[:i, i, None], 0).max(axis=0) + 1
+            collinear = collinear or not cr.all()
     # no view of X outlives the loop, so rebinding X frees its array
     X = X.tolist()
-    return X, Y.tolist()
+    return X, Y.tolist(), collinear
 
 
 def _label_tables(coords: Sequence[tuple[int, int]]):
@@ -259,10 +276,18 @@ def _check_convex_points(n) -> None:
                          "limit of max_convex_subset")
 
 
+class _Tables(NamedTuple):
+    pts: list[Point]  # in (x, y) order
+    coords: list[tuple[int, int]]  # their int_coords
+    X: list[list[int]]  # cup labels
+    Y: list[list[int]]  # cap labels
+    collinear: bool  # whether three points are collinear
+
+
 @lru_cache(maxsize=2)
-def _detection_tables(ps: PointSet, reflected: bool):
-    """(sorted points, int coords, cup table, cap table) for a point set;
-    the two entries keep the last set's forward and reflected tables.
+def _detection_tables(ps: PointSet, reflected: bool) -> _Tables:
+    """The label tables of a point set; the two entries keep the last
+    set's forward and reflected tables.
 
     With ``reflected`` the tables are those of ``[(-x, y) for x, y in
     reversed(coords)]``.  Reflection keeps cups and caps and reverses the
@@ -270,9 +295,9 @@ def _detection_tables(ps: PointSet, reflected: bool):
     ``XR[n-1-j][n-1-i] + 1`` points."""
     _check_table_points(len(ps))
     pts, coords = _sorted_distinct_x(ps)
-    X, Y = _label_tables([(-x, y) for x, y in reversed(coords)]
-                         if reflected else coords)
-    return pts, coords, X, Y
+    X, Y, collinear = _label_tables([(-x, y) for x, y in reversed(coords)]
+                                    if reflected else coords)
+    return _Tables(pts, coords, X, Y, collinear)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +373,7 @@ def _longest_chain(ps: PointSet, kind: WitnessKind,
                    sign: int) -> StructureWitness:
     if len(ps) < 2:
         raise ValueError(f"longest_{kind.value} needs at least 2 points")
-    pts, coords, XR, YR = _detection_tables(ps, True)
+    pts, coords, XR, YR, _ = _detection_tables(ps, True)
     chain = _lexmin_chain(coords, XR if sign > 0 else YR, sign)
     return StructureWitness(kind, PointSet(pts[i] for i in chain))
 
@@ -378,14 +403,14 @@ def longest_cup_size(ps: PointSet) -> int:
     """Point count of the longest cup (no witness extraction)."""
     if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    pts, _, X, _ = _detection_tables(ps, False)
+    pts, _, X, _, _ = _detection_tables(ps, False)
     return _max_label_pair(X, len(pts))[0] + 1
 
 
 def longest_cap_size(ps: PointSet) -> int:
     if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    pts, _, _, Y = _detection_tables(ps, False)
+    pts, _, _, Y, _ = _detection_tables(ps, False)
     return _max_label_pair(Y, len(pts))[0] + 1
 
 
@@ -534,17 +559,59 @@ def _anchor_sweep(edges, a: int, n: int, table=None) -> int:
     return size
 
 
+def _anchor_sizes(edges, n: int) -> list[int]:
+    """``_anchor_sweep(edges, a, n)`` for every anchor a, in one sweep.
+
+    B[v][k] is the bitmask of the anchors a with L_a[v] >= k + 1, so B[v]
+    starts as ``[1 << v]``.  An edge u -> v closes polygons for anchor v
+    when v < u, and extends the chains of the anchors below v:
+    L_a[v] = max(L_a[v], L_a[u] + 1) wherever L_a[u] > 0.  Each anchor's
+    bits follow its own sweep over the same edges in the same order.  The
+    levels stay nested, B[v][k + 1] within B[v][k], because an extension
+    also sets level 0; so a level of B[u] without bits below v ends the
+    update, and anchor v's size rises while its bit is set in
+    B[u][size].  O(n^2 * M) operations on n-bit ints, M the largest size.
+    """
+    B = [[1 << v] for v in range(n)]
+    size = [2] * n
+    lows = [(1 << v) - 1 for v in range(n)]
+    for u, v in edges:
+        bu = B[u]
+        if v < u:
+            s = size[v]
+            while s < len(bu) and bu[s] >> v & 1:
+                s += 1
+            size[v] = s
+        below = lows[v]
+        m = bu[0] & below
+        if not m:
+            continue
+        bv = B[v]
+        bv[0] |= m
+        k = 1
+        while m:
+            if k < len(bv):
+                bv[k] |= m
+            else:
+                bv.append(m)
+            m = bu[k] & below if k < len(bu) else 0
+            k += 1
+    return size
+
+
 def max_convex_subset(ps: PointSet) -> StructureWitness:
     """An exact maximum-cardinality subset in strict convex position.
 
-    Sizes come from one angular edge sweep per anchor a, the (y, x)-lowest
-    vertex of the polygon, O(n^3) in all (Chvatal & Klincsek, 1980).  A
+    Each anchor a, the (y, x)-lowest vertex of the polygon, has its own
+    angular edge sweep (``_anchor_sweep``; Chvatal & Klincsek, 1980).  A
     polygon traversed counterclockwise from its lowest vertex has strictly
     increasing edge angles in [0, 2*pi), and a closed chain of such edges
-    is a polygon in strict convex position (``_anchor_sweep``).
+    is a polygon in strict convex position.  ``_anchor_sizes`` runs every
+    anchor's sweep at once on bitmasks, O(n^2 * M) operations on n-bit
+    ints for the maximum M, and no anchor is pruned.
 
-    The witness comes from a second sweep on the first anchor a that
-    reaches the maximum M, over a's edge list renumbered by fan position:
+    The witness comes from ``_anchor_sweep`` on the first anchor a that
+    reaches M, over a's edge list renumbered by fan position:
     a is 0 and its out-edges follow in ``_edges_by_angle`` order (angular
     order around a, nearer first on a ray).  That sweep fills T[i][j] on
     every pair.  With j the first fan position, and i the first below j,
@@ -571,17 +638,13 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
     pts = sorted(ps, key=lambda p: (p.y, p.x))
     coords = int_coords(pts)
     n = len(pts)
-    best_size, best_anchor = 2, None
     edges = _edges_by_angle(coords)
-    for a in range(n - 2):
-        if n - a <= best_size:
-            break
-        size = _anchor_sweep(edges, a, n)
-        if size > best_size:
-            best_size, best_anchor = size, a
-    if best_anchor is None:
+    sizes = _anchor_sizes(edges, n)
+    best_size = max(sizes)
+    if best_size == 2:
         members = [pts[0], pts[1]]
     else:
+        best_anchor = sizes.index(best_size)
         best_edges = [e for e in edges if min(e) >= best_anchor]
         fan = [best_anchor] + [v for u, v in best_edges if u == best_anchor]
         pos = {v: k for k, v in enumerate(fan)}
@@ -604,7 +667,7 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
 
 def pair_labels(ps: PointSet) -> dict[tuple[Point, Point], PairLabel]:
     """Labels (x_pq, y_pq) for every ordered pair p before q in x-order."""
-    pts, coords, X, Y = _detection_tables(ps, False)
+    pts, coords, X, Y, _ = _detection_tables(ps, False)
     n = len(pts)
     out = {}
     for i in range(n - 1):
@@ -662,7 +725,7 @@ class DownSet:
 
 def downset_of(ps: PointSet, q: Point, a: int, b: int) -> DownSet:
     """Down-set in L(a, b) generated by the labels of pairs ending at q."""
-    pts, coords, X, Y = _detection_tables(ps, False)
+    pts, coords, X, Y, _ = _detection_tables(ps, False)
     try:
         k = pts.index(q)
     except ValueError:
@@ -673,7 +736,7 @@ def downset_of(ps: PointSet, q: Point, a: int, b: int) -> DownSet:
 
 def downsets_by_point(ps: PointSet, a: int, b: int) -> dict[Point, DownSet]:
     """downset_of for every member, computing the label tables once."""
-    pts, coords, X, Y = _detection_tables(ps, False)
+    pts, coords, X, Y, _ = _detection_tables(ps, False)
     out = {}
     for k, q in enumerate(pts):
         pairs = [(X[i][k], Y[i][k]) for i in range(k)]
@@ -739,19 +802,25 @@ def find_structure(ps: PointSet, l: int, m: int, n: int) -> Optional[StructureWi
     """A witness of l collinear points, an m-cup, or an n-cap, else None.
 
     Preference order on success: collinear run, then cup, then cap.  The
-    collinear check runs first and does not need distinct x-coordinates;
-    the cup/cap phase does.
+    label tables come first, and the collinear scan runs only when their
+    sweep has seen three collinear points.  A set the tables refuse (equal
+    x-coordinates, too many points) is scanned before they raise, so a
+    collinear run needs no distinct x-coordinates; the cup/cap phase does.
     """
     if min(l, m, n) < 3:
         raise ValueError("thresholds must all be >= 3")
-    if len(ps) >= 2:
+    if len(ps) < 2:
+        return None
+    try:
+        tables = _detection_tables(ps, False)
+    except ValueError:
+        tables = None
+    if tables is None or tables.collinear:
         run = max_collinear(ps)
         if len(run) >= l:
             return StructureWitness(WitnessKind.COLLINEAR_RUN,
                                     run.members[:l])
-    if len(ps) < 2:
-        return None
-    pts, coords, X, Y = _detection_tables(ps, False)
+    pts, coords, X, Y, _ = tables or _detection_tables(ps, False)
     size = len(pts)
     cup_best, cup_at = _max_label_pair(X, size)
     if cup_best + 1 >= m:

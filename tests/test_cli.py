@@ -282,6 +282,18 @@ class TestPlot:
         assert "beyond the float range" in err and "Traceback" not in err
         assert not svg.exists()
 
+    def test_span_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # each coordinate fits a float but the x span does not; the error
+        # names the axis and no SVG is written
+        pts = tmp_path / "wide.pts"
+        pts.write_text(f"espts v1\n{-2**1023} 0\n{2**1023} 5\n0 9\n")
+        svg = tmp_path / "w.svg"
+        assert run("plot", "--in", str(pts), "--svg", str(svg)) == 2
+        err = capsys.readouterr().err
+        assert "the x span" in err and "beyond the float range" in err
+        assert "Traceback" not in err
+        assert not svg.exists()
+
     def test_highlight_out_of_range(self, tmp_path):
         out = tmp_path / "x.pts"
         run("gen-x", "3", "4", "4", "--out", str(out))

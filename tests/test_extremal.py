@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cupcap import (DownSet, PairLabel, Point, PointSet, WitnessKind,
-                    build_convex_free, build_free_set, count_downsets,
-                    downset_of, downsets_by_point, enumerate_downsets,
-                    extremal, find_structure, is_cap, is_cup,
-                    is_collinear_run, is_convex_position, longest_cap,
+                    build_convex_free, build_free_set, constructions,
+                    count_downsets, downset_of, downsets_by_point,
+                    enumerate_downsets, extremal, find_structure, is_cap,
+                    is_cup, is_collinear_run, is_convex_position, longest_cap,
                     longest_cup, max_collinear, max_convex_subset,
                     pair_labels, verify_construction)
 from cupcap.cli import main
@@ -94,8 +94,8 @@ class TestLongestCupCap:
             sx, sy = (rng.randrange(1 << 69, 1 << 70) for _ in "xy")
             tx, ty = (rng.randrange(-(1 << 90), 1 << 90) for _ in "xy")
             big = [(x * sx + tx, y * sy + ty) for x, y in coords]
-            Xb, Yb = _label_tables_python(big)
-            Xn, Yn = _label_tables_numpy(coords)
+            Xb, Yb, _ = _label_tables_python(big)
+            Xn, Yn, _ = _label_tables_numpy(coords)
             assert Xb == Xn and Yb == Yn
 
     def test_numpy_and_python_tables_agree(self):
@@ -117,16 +117,16 @@ class TestLongestCupCap:
         pad = [(x, rng.randrange(1 << 30))
                for x in rng.sample(range(A + d + 1, 1 << 30), 40)]
         coords = sorted([(A - b, A - a), (A, A), (A + d, A + c)] + pad)
-        X, Y = _label_tables_numpy(coords)
+        X, Y, _ = _label_tables_numpy(coords)
         assert (X[1][2], Y[1][2]) == (2, 1)
-        assert (X, Y) == _label_tables_python(coords)
+        assert (X, Y) == _label_tables_python(coords)[:2]
 
     def test_both_builders_return_lists_of_int(self):
         # every table reader indexes one type: list rows of Python ints
         coords = int_coords(sorted(random_point_set(random.Random(5), 40),
                                    key=lambda p: p.x))
         for build in (_label_tables_python, _label_tables_numpy):
-            for table in build(coords):
+            for table in build(coords)[:2]:
                 assert type(table) is list
                 assert all(type(row) is list for row in table)
                 assert all(type(v) is int for row in table for v in row)
@@ -263,14 +263,14 @@ class TestExactReferences:
                                       "edge", "huge", "mixed"])
     def test_matches_reference(self, kind):
         coords = reference_set(kind)
-        assert _label_tables_python(coords) == \
+        assert _label_tables_python(coords)[:2] == \
             oracles.exact_label_tables(coords)
         ps = PointSet.of(coords)
         assert list(max_collinear(ps).members) == \
             oracles.exact_max_collinear(ps)
 
     def test_float_tie_decided_exactly(self):
-        X, Y = _label_tables_python(reference_set("float_tie"))
+        X, Y, _ = _label_tables_python(reference_set("float_tie"))
         assert (X[1][2], Y[1][2]) == (2, 1)
 
     def test_guard_keeps_overflowing_sets_exact(self):
@@ -301,6 +301,88 @@ class TestExactReferences:
         assert 0 < sum(flags) < len(flags)
         for coords in (huge, mixed):
             assert len(max_collinear(PointSet.of(coords))) == 5
+
+
+class TestCollinearFlag:
+    """The label tables' sweep decides whether three points are collinear,
+    and the certificate and structure search scan for a run only then."""
+
+    @staticmethod
+    def sheared(pts, k):
+        # (x, y) -> (k * x + y, y) keeps every line and, for k above the
+        # y span, makes the x-coordinates distinct
+        return PointSet.of([(k * x + y, y) for x, y in pts])
+
+    def cases(self):
+        rng = random.Random(61)
+        sets = [random_point_set(rng, rng.randrange(3, 45),
+                                 span=rng.choice([45, 60, 1 << 20]))
+                for _ in range(40)]
+        sets += [random_general_position(rng, rng.randrange(3, 45))
+                 for _ in range(10)]
+        for _ in range(20):
+            span = rng.randrange(3, 8)
+            grid = rng.sample([(x, y) for x in range(span)
+                               for y in range(span)],
+                              rng.randrange(3, span * span + 1))
+            sets.append(self.sheared(grid, span))
+        return sets
+
+    def test_both_kernels_match_the_reference(self):
+        seen = set()
+        for ps in self.cases():
+            coords = int_coords(sorted(ps, key=lambda p: p.x))
+            expected = len(oracles.exact_max_collinear(ps)) >= 3
+            seen.add(expected)
+            assert _label_tables_python(coords)[2] is expected
+            assert extremal._int64_safe(coords)
+            assert _label_tables_numpy(coords)[2] is expected
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("kind", ["float_tie", "grid", "runs", "wide",
+                                      "edge", "huge", "mixed"])
+    def test_python_kernel_on_reference_sets(self, kind):
+        coords = reference_set(kind)
+        expected = len(oracles.exact_max_collinear(PointSet.of(coords))) >= 3
+        assert _label_tables_python(coords)[2] is expected
+
+    def test_numpy_kernel_on_a_float_tie(self):
+        # equal float64 slopes into and out of (A, A), unequal exact ones;
+        # then (A + 2d, A + 2c) makes an exact triple through (A + d, A + c)
+        A, b = 1 << 29, (1 << 28) + 3
+        a, c, d = b - 1, b, b + 1
+        coords = [(A - b, A - a), (A, A), (A + d, A + c)]
+        assert not _label_tables_numpy(coords)[2]
+        assert _label_tables_numpy(coords + [(A + 2 * d, A + 2 * c)])[2]
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+
+        def counted(ps):
+            calls.append(len(ps))
+            return max_collinear(ps)
+
+        monkeypatch.setattr(extremal, "max_collinear", counted)
+        monkeypatch.setattr(constructions, "max_collinear", counted)
+        return calls
+
+    def test_scan_runs_only_on_collinear_sets(self, scans):
+        free = build_free_set(3, 5, 5)
+        cert = verify_construction(free, ("x", 3, 5, 5))
+        assert cert.passes and cert.max_collinear_points == 2
+        rng = random.Random(8)
+        for _ in range(5):
+            assert find_structure(random_general_position(rng, 12),
+                                  3, 9, 9) is None
+        assert scans == []
+        # a planted triple (0, 1) -> (2, 3) -> (4, 5)
+        triple = PointSet.of([(0, 1), (2, 3), (4, 5), (1, 9), (3, -7)])
+        cert = verify_construction(triple, ("x", 3, 5, 5))
+        assert not cert.passes and cert.max_collinear_points == 3
+        found = find_structure(triple, 3, 9, 9)
+        assert found.kind is WitnessKind.COLLINEAR_RUN and len(found) == 3
+        assert scans == [5, 5]
 
 
 class TestMaxConvexSubset:
@@ -358,6 +440,23 @@ class TestMaxConvexSubset:
             got = max_convex_subset(ps)
             assert is_convex_position(got.members)
             assert len(got) == oracles.brute_max_convex_subset(list(ps))
+
+    def test_all_anchors_match_the_sequential_sweep(self):
+        # the bit-parallel sizes equal each anchor's own sweep, on random
+        # sets, dense grids (parallel edges, collinear runs) and es:3,9
+        rng = random.Random(1980)
+        cases = [build_convex_free(3, 9)]
+        for _ in range(60):
+            span = rng.choice([3, 4, 5, 6, 20, 1 << 20])
+            cases.append(random_point_set(
+                rng, rng.randrange(3, min(span * span, 30) + 1), span=span,
+                distinct_x=False))
+        for ps in cases:
+            coords = int_coords(sorted(ps, key=lambda p: (p.y, p.x)))
+            n = len(coords)
+            edges = extremal._edges_by_angle(coords)
+            assert extremal._anchor_sizes(edges, n) == [
+                extremal._anchor_sweep(edges, a, n) for a in range(n)]
 
     def test_levelwise_oracle_matches_plain_enumeration(self):
         rng = random.Random(5)
