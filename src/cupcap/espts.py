@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -35,18 +36,29 @@ class EsptsParseError(ValueError):
         self.line_no = line_no
 
 
+def _parse_int(digits: str, line_no: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # _TOKEN admits only digits here, so int() refuses only on length
+        raise EsptsParseError(
+            line_no, f"a {len(digits.lstrip('+-'))}-digit number exceeds "
+            f"Python's limit of {sys.get_int_max_str_digits()} digits for "
+            "int conversion") from None
+
+
 def _parse_token(tok: str, line_no: int) -> Fraction:
     if not _TOKEN.match(tok):
         raise EsptsParseError(line_no, f"malformed coordinate token {tok!r}")
     if "/" in tok:
         num_s, den_s = tok.split("/")
-        num, den = int(num_s), int(den_s)
+        num, den = _parse_int(num_s, line_no), _parse_int(den_s, line_no)
         if den == 0:
             raise EsptsParseError(line_no, f"zero denominator in {tok!r}")
         if math.gcd(abs(num), den) != 1:
             raise EsptsParseError(line_no, f"{tok!r} is not in lowest terms")
         return Fraction(num, den)
-    return Fraction(int(tok))
+    return Fraction(_parse_int(tok, line_no))
 
 
 def loads(text: str) -> PointSet:

@@ -53,9 +53,9 @@ from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 # Below this coordinate magnitude every cross product fits in int64: with
 # |coordinate| < 2**30, differences are below 2**31, each product of two
 # below 2**62 and their difference below 2**63.  This bound is only int64
-# overflow.  The label tables, ``max_collinear``'s prefilter and
-# ``relative._coord_array`` take the int64 path only there, and the
-# pure-Python path of Python ints above.  Results are identical.
+# overflow.  The label tables and ``max_collinear``'s prefilter take the
+# int64 path only there, and the pure-Python path of Python ints above.
+# Results are identical.
 _INT64_COORD_LIMIT = 1 << 30
 # Below this size the int64 kernels do not pay for numpy's dispatch.  On
 # 20-bit random sets (40 sets a size, median of 15 interleaved runs, 2-vCPU

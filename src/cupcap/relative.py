@@ -21,8 +21,12 @@ array (``_radial``, ``_relative_chain_dp``).  The chain DP fills a pair
 table of edge counts, as the cup/cap label tables do, and
 ``extremal._max_label_pair`` and ``extremal._chain_backward`` read its
 witness out of it.  Support regions are turn signs against a cup's or
-cap's edges on one such array (``_support_masks``), with the chain's turn
-sign from ``extremal._chain_sign``.
+cap's edges on one such array, as bitmasks on Python ints: each edge
+line gives the points strictly left and strictly right of it
+(``_side_masks``), and each region is the AND of three of those
+(``_support_masks``), with the chain's turn sign from
+``extremal._chain_sign``.  One exact path serves every coordinate size,
+and no numpy is needed.
 ``classify_triple`` keeps the hull definitions and ``support_regions`` the
 ``Fraction`` half-planes as the references.  Randomized search is
 deterministic.
@@ -30,23 +34,21 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .extremal import (StructureWitness, WitnessKind, _chain_backward,
-                       _chain_sign, _int64_safe, _max_label_pair,
-                       _sorted_distinct_x, is_cap, is_cup)
+                       _chain_sign, _max_label_pair, _sorted_distinct_x,
+                       is_cap, is_cup)
 from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
                    int_coords, int_cross, int_halfplanes, int_hull,
                    is_convex_position, point_in_convex_hull,
                    point_in_convex_region)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class GeometryPreconditionError(ValueError):
@@ -192,48 +194,59 @@ class SupportOccupancy:
         return tuple(len(m) for m in self.members)
 
 
-def _coord_array(coords: Sequence[tuple[int, int]]) -> np.ndarray:
-    """``int_coords`` as an n x 2 array: int64 where every cross product
-    fits (``extremal._int64_safe``), and exact Python ints
-    (``dtype=object``) above."""
-    import numpy as np
+def _side_masks(coords: Sequence[tuple[int, int]], i: int, j: int
+                ) -> tuple[int, int]:
+    """Bitmasks over ``coords`` (bit q for row q) of the rows strictly left
+    and strictly right of the line coords[i] -> coords[j]."""
+    (ax, ay), (bx, by) = coords[i], coords[j]
+    dx, dy = bx - ax, by - ay
+    t = dx * ay - dy * ax
+    w = [dx * y - dy * x for x, y in reversed(coords)]
+    return (int("".join(["1" if v > t else "0" for v in w]), 2),
+            int("".join(["1" if v < t else "0" for v in w]), 2))
 
-    return np.array(coords, dtype=np.int64 if _int64_safe(coords) else object)
 
-
-def _support_masks(c: np.ndarray, chain: Sequence[int], s: int) -> np.ndarray:
-    """Membership of each row of ``c`` in the k support regions of the cup
-    (s = +1) or cap (s = -1) ``c[chain]`` (x order), as a k x n bool array.
+def _support_masks(chain: Sequence[int], s: int,
+                   sides: Callable[[int, int], tuple[int, int]]
+                   ) -> list[int]:
+    """Membership in the k support regions of the cup (s = +1) or cap
+    (s = -1) with vertex rows ``chain`` (x order, increasing), as k
+    bitmasks; ``sides(i, j)`` gives ``_side_masks`` of rows i < j.
 
     With its closing edge the chain is a strictly convex polygon, traversed
     counterclockwise for a cup and clockwise for a cap, so its interior and
     centroid lie strictly on side s of each directed edge e_i = v_i v_{i+1}
-    (e_{k-1} = v_{k-1} v_0).  With side_i(q) = s * cross(e_i, q), the
-    centroid test of ``support_regions`` makes region i side_i < 0,
-    side_{i-1} > 0 and side_{i+1} > 0; ``int_coords`` keeps every sign.
+    (e_{k-1} = v_{k-1} v_0, whose left and right swap those of v_0 v_{k-1}).
+    With side_i(q) = s * cross(e_i, q), the centroid test of
+    ``support_regions`` makes region i side_i < 0, side_{i-1} > 0 and
+    side_{i+1} > 0: outer_i & inner_{i-1} & inner_{i+1}, where outer is
+    the right side for a cup and the left for a cap.  ``int_coords`` keeps
+    every sign.
     """
-    import numpy as np
-
-    v = c[list(chain)]
-    d = np.roll(v, -1, axis=0) - v
-    side = s * (d[:, :1] * (c[:, 1] - v[:, 1:])
-                - d[:, 1:] * (c[:, 0] - v[:, :1]))
-    return ((side < 0) & (np.roll(side, 1, axis=0) > 0)
-            & (np.roll(side, -1, axis=0) > 0))
+    k = len(chain)
+    edges = [sides(chain[i], chain[i + 1]) for i in range(k - 1)]
+    right, left = sides(chain[0], chain[-1])
+    edges.append((left, right))
+    if s > 0:
+        inner, outer = zip(*edges)
+    else:
+        outer, inner = zip(*edges)
+    return [outer[i] & inner[i - 1] & inner[(i + 1) % k] for i in range(k)]
 
 
 def populate_support(p: PointSet, x: PointSet) -> SupportOccupancy:
     """Exact membership of every point of p in every support region of x."""
-    import numpy as np
-
     regions = tuple(support_regions(x))
     n = len(p)
     coords = int_coords([*p, *sorted(x, key=lambda q: q.x)])
     chain = range(n, len(coords))
-    masks = _support_masks(_coord_array(coords), chain,
-                           _chain_sign(coords, chain))[:, :n]
+    masks = _support_masks(chain, _chain_sign(coords, chain),
+                           functools.partial(_side_masks, coords))
+    # rows n and up are x's vertices, in no region: each lies on two edge
+    # lines and strictly on the inner side of the others
     return SupportOccupancy(regions, tuple(
-        tuple(p[j] for j in np.flatnonzero(row).tolist()) for row in masks))
+        tuple(p[j] for j, bit in enumerate(bin(m)[:1:-1]) if bit == "1")
+        for m in masks))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +263,11 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
     until ``budget`` candidates have been evaluated; returns the best
     candidate (ties to the first found).  Deterministic given the seed.
     Raises if ``budget`` is below 1 or no k-cup or k-cap turns up at all.
+
+    Each sample memoizes the side masks of every edge line its candidates
+    use, so a sample of m points computes them for at most C(m, 2) lines,
+    two n-bit ints a line (66 lines for the 12-point samples of k <= 6),
+    and the memo is dropped with its sample.
     """
     n = len(p)
     if k < 4:
@@ -259,20 +277,22 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
     if n < k:
         raise ValueError("not enough points")
     pts, coords = _sorted_distinct_x(p)
-    c = _coord_array(coords)
 
     rng = random.Random(seed)
     sample_size = min(n, max(12, 2 * k))
-    # at most max(8, budget) samples, drawn lazily up to the budget-th chain
-    samples = (sorted(rng.sample(range(n), sample_size))
+    # at most max(8, budget) samples, drawn lazily up to the budget-th chain,
+    # each with a fresh memo of side masks
+    samples = ((sorted(rng.sample(range(n), sample_size)),
+                functools.cache(functools.partial(_side_masks, coords)))
                for _ in range(max(8, budget)))
-    chains = ((combo, s) for sample in samples
+    chains = ((combo, s, sides) for sample, sides in samples
               for combo in itertools.combinations(sample, k)
               if (s := _chain_sign(coords, combo)))
     best_idx: Optional[tuple[int, ...]] = None
     best_occ = -1
-    for combo, s in itertools.islice(chains, budget):
-        occ = int(_support_masks(c, combo, s)[:k - 1].sum(axis=1).min())
+    for combo, s, sides in itertools.islice(chains, budget):
+        masks = _support_masks(combo, s, sides)
+        occ = min(m.bit_count() for m in masks[:k - 1])
         if occ > best_occ:
             best_occ, best_idx = occ, combo
     if best_idx is None:

@@ -137,6 +137,13 @@ class TestAnalyze:
                    str(tmp_path / "r.json")) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_number_over_int_digit_limit_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pts"
+        bad.write_text("espts v1\n0 0\n" + "1" * 5000 + " 3\n")
+        assert run("analyze", "--in", str(bad), "--report",
+                   str(tmp_path / "r.json")) == 2
+        assert "line 3: a 5000-digit number" in capsys.readouterr().err
+
     def test_partial_thresholds_exit_two(self, tmp_path, capsys):
         out, rep = tmp_path / "x.pts", tmp_path / "r.json"
         run("gen-x", "3", "4", "4", "--out", str(out))
@@ -420,9 +427,9 @@ assert len(longest_inner_cap(ps, body)) > 1
 assert len(longest_outer_cup(ps, body)) > 1
 """)
 
-    def test_fat_cap_loads_numpy(self, tmp_path):
+    def test_fat_cap_skips_numpy(self, tmp_path):
         src = tmp_path / "p.pts"
-        assert self.numpy_loaded(f"""
+        assert not self.numpy_loaded(f"""
 import random
 from conftest import random_point_set
 from cupcap.cli import main

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cupcap import PointSet
@@ -58,3 +60,16 @@ def test_duplicate_points_rejected():
     with pytest.raises(EsptsParseError) as exc:
         loads("espts v1\n1 1\n1 1\n")
     assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("token", [
+    "1" * (sys.get_int_max_str_digits() + 1) + "/3",
+    "3/" + "1" * (sys.get_int_max_str_digits() + 1),
+], ids=["numerator", "denominator"])
+def test_number_over_int_digit_limit_reports_line(token):
+    """A numerator or denominator longer than Python's digit limit for int
+    conversion is a parse error that names the line and the limit."""
+    with pytest.raises(EsptsParseError) as err:
+        loads(f"espts v1\n0 0\n{token} 3\n")
+    assert err.value.line_no == 3
+    assert f"limit of {sys.get_int_max_str_digits()} digits" in str(err.value)
