@@ -15,15 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import espts
-from .bounds import (BoundsConfig, bound_table, convex_forcing_lower,
-                     free_set_size_bound)
-from .constructions import build_convex_free, build_free_set, verify_construction
-from .extremal import (_check_convex_points, _check_table_points,
-                       find_structure, longest_cap, longest_cup,
-                       max_collinear, max_convex_subset)
-from .geom import PointSet, shear_distinct_x
-from .relative import (check_selection_tuples, find_fat_cap,
-                       populate_support)
+from .bounds import BoundsConfig
 
 _BOUNDS_KEYS = ("c", "c1", "big_c", "epsilon")
 _RUN_KEYS = ("seed", "sample_budget", "search_budget")
@@ -117,9 +109,15 @@ def _parse_claim(text: str) -> tuple:
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
+#
+# Each handler imports the modules it uses when it runs, so a step loads
+# only those (``fat-cap`` never loads ``constructions``, ``gen-x`` never
+# loads ``relative``), and reads every function off its module at call
+# time.
 
 
-def _save_and_certify(ps: PointSet, args, claim: tuple) -> int:
+def _save_and_certify(ps, args, claim: tuple) -> int:
+    from .constructions import verify_construction
     espts.save_file(ps, args.out)
     if args.cert:
         cert = verify_construction(ps, claim)
@@ -130,6 +128,9 @@ def _save_and_certify(ps: PointSet, args, claim: tuple) -> int:
 
 
 def _cmd_gen_x(args, cfg: RunConfig) -> int:
+    from .bounds import free_set_size_bound
+    from .constructions import build_free_set
+    from .extremal import _check_table_points
     if args.cert:
         _check_table_points(free_set_size_bound(args.l, args.m, args.n))
     return _save_and_certify(build_free_set(args.l, args.m, args.n), args,
@@ -137,6 +138,9 @@ def _cmd_gen_x(args, cfg: RunConfig) -> int:
 
 
 def _cmd_gen_es(args, cfg: RunConfig) -> int:
+    from .bounds import convex_forcing_lower
+    from .constructions import build_convex_free
+    from .extremal import _check_convex_points, _check_table_points
     if args.cert:
         size = convex_forcing_lower(args.l, args.n) - 1
         _check_table_points(size)
@@ -146,6 +150,9 @@ def _cmd_gen_es(args, cfg: RunConfig) -> int:
 
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
+    from .extremal import (_check_convex_points, find_structure, longest_cap,
+                           longest_cup, max_collinear, max_convex_subset)
+    from .geom import shear_distinct_x
     missing = [f"--{k}" for k in ("l", "m", "n") if getattr(args, k) is None]
     if 0 < len(missing) < 3:
         raise ValueError("the structure search needs --l, --m and --n; "
@@ -181,6 +188,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    from .constructions import verify_construction
     ps = espts.load_file(args.infile)
     claim = _parse_claim(args.claim)
     cert = verify_construction(ps, claim)
@@ -194,6 +202,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_bounds(args, cfg: RunConfig) -> int:
+    from .bounds import bound_table
     bcfg = cfg.bounds
     for name in _BOUNDS_KEYS:
         val = getattr(args, name)
@@ -208,6 +217,8 @@ def _cmd_bounds(args, cfg: RunConfig) -> int:
 
 
 def _cmd_fat_cap(args, cfg: RunConfig) -> int:
+    from .relative import (check_selection_tuples, find_fat_cap,
+                           populate_support)
     ps = espts.load_file(args.infile)
     seed = args.seed if args.seed is not None else cfg.seed
     budget = args.budget if args.budget is not None else cfg.search_budget
@@ -227,7 +238,7 @@ def _cmd_fat_cap(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _svg_document(ps: PointSet, highlight: list[int]) -> str:
+def _svg_document(ps, highlight: list[int]) -> str:
     width, height, margin = 800.0, 600.0, 40.0
     xs, ys = [], []
     for i, p in enumerate(ps):

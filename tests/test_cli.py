@@ -77,7 +77,7 @@ class TestGen:
         def fail(l, m, n):
             raise ConstructionError("flat placement did not verify")
 
-        monkeypatch.setattr("cupcap.cli.build_free_set", fail)
+        monkeypatch.setattr("cupcap.constructions.build_free_set", fail)
         assert run("gen-x", "3", "5", "5", "--out",
                    str(tmp_path / "x.pts")) == 2
         assert "did not verify" in capsys.readouterr().err
