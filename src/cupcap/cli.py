@@ -150,7 +150,8 @@ def _cmd_gen_es(args, cfg: RunConfig) -> int:
 
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
-    from .extremal import (_check_convex_points, find_structure, longest_cap,
+    from .extremal import (_check_convex_points, _detection_tables,
+                           _sorted_coords, find_structure, longest_cap,
                            longest_cup, max_collinear, max_convex_subset)
     from .geom import shear_distinct_x
     missing = [f"--{k}" for k in ("l", "m", "n") if getattr(args, k) is None]
@@ -162,7 +163,14 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
     sheared = shear_distinct_x(ps)
     cup = longest_cup(sheared) if len(ps) >= 2 else None
     cap = longest_cap(sheared) if len(ps) >= 2 else None
-    coll = max_collinear(ps) if len(ps) >= 2 else None
+    coll = None
+    if len(ps) >= 2:
+        # a shear keeps lines, so the tables longest_cup built for the
+        # sheared set say whether three points of ps are collinear; if none
+        # are, max_collinear's run is the first two points in (x, y) order
+        coll = (max_collinear(ps).members
+                if _detection_tables(sheared, True).collinear
+                else _sorted_coords(ps)[0][:2])
     convex = max_convex_subset(ps) if len(ps) >= 3 else None
     report = {
         "input_file": args.infile,
@@ -174,7 +182,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         "witnesses": {
             "longest_cup": _points_json(cup.members) if cup else [],
             "longest_cap": _points_json(cap.members) if cap else [],
-            "max_collinear": _points_json(coll.members) if coll else [],
+            "max_collinear": _points_json(coll) if coll else [],
             "max_convex_subset": _points_json(convex.members) if convex else [],
         },
     }

@@ -19,7 +19,6 @@ coordinates; nothing is trusted from construction-time reasoning.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,8 @@ from .bounds import free_set_size_bound
 from .extremal import (_check_convex_points, _detection_tables,
                        longest_cap_size, longest_cup_size, max_collinear,
                        max_convex_subset)
-from .geom import Point, PointSet, int_coords, int_cross, int_hull
+from .geom import (Point, PointSet, int_coords, int_cross, int_hull,
+                   int_normalize)
 
 _MAX_ADAPT_ATTEMPTS = 10_000
 # Largest set the generators will build; the same cap as enumerate_downsets.
@@ -69,12 +69,25 @@ class ConstructionCertificate:
 
 # ---------------------------------------------------------------------------
 # helpers
+#
+# The builders compute on lists of integer pairs from the base sets to the
+# final output; only the public functions build Points.  Every placement
+# step is a positive scaling and translation per axis of the rational
+# placement it stands for, so ``int_normalize`` of its pairs is that
+# placement's ``int_coords``, and every turn sign and (x, y) order the
+# checks read is the same.
+
+Pairs = list[tuple[int, int]]
+
+
+def _point_set(pairs: Sequence[tuple[int, int]]) -> PointSet:
+    return PointSet(Point(Fraction(x), Fraction(y)) for x, y in pairs)
 
 
 def normalize_integer_coords(ps: PointSet) -> PointSet:
     """Equivalent set with small integer coordinates (``geom.int_coords``);
     certificates are unchanged."""
-    return PointSet(Point(Fraction(x), Fraction(y)) for x, y in int_coords(ps))
+    return _point_set(int_coords(ps))
 
 
 def _check_size(total) -> None:
@@ -83,32 +96,16 @@ def _check_size(total) -> None:
                          f"of {_MAX_POINTS}")
 
 
-def _extent(ps: PointSet) -> tuple[Fraction, Fraction]:
-    xs = [p.x for p in ps]
-    ys = [p.y for p in ps]
-    return max(xs) - min(xs), max(ys) - min(ys)
+def _halvings(num: int, den: int) -> int:
+    """The least k >= 0 with 2**-k <= num/den (num, den > 0)."""
+    q = -(-den // num)
+    return (q - 1).bit_length() if q > 1 else 0
 
 
-def _min_x_gap(ps: PointSet) -> Optional[Fraction]:
-    xs = sorted(p.x for p in ps)
-    gaps = [b - a for a, b in zip(xs, xs[1:]) if b != a]
-    return min(gaps) if gaps else None
-
-
-def _to_origin(ps: PointSet) -> PointSet:
-    mx = min(p.x for p in ps)
-    my = min(p.y for p in ps)
-    return PointSet(Point(p.x - mx, p.y - my) for p in ps)
-
-
-def _pow2_at_most(value: Fraction) -> Fraction:
-    """Largest power of two <= value (value > 0), as an exact Fraction."""
-    if value >= 1:
-        return Fraction(1 << (int(value).bit_length() - 1))
-    k = 1
-    while Fraction(1, 1 << k) > value:
-        k += 1
-    return Fraction(1, 1 << k)
+def _min_gap(values: Sequence[int]) -> Optional[int]:
+    """Smallest positive difference of two values, None if all are equal."""
+    v = sorted(set(values))
+    return min((b - a for a, b in zip(v, v[1:])), default=None)
 
 
 def _int_hulls_side(hu: Sequence[tuple[int, int]],
@@ -116,9 +113,9 @@ def _int_hulls_side(hu: Sequence[tuple[int, int]],
     """Exact check that every strict hull vertex r of the lower part lies
     strictly on one side of every line through two strict hull vertices
     p < q (in (x, y) order) of the upper part: the turn (p, q, r) has sign
-    ``want_sign``.  ``hu`` and ``hl`` are the parts' ``int_hull``s from one
-    ``int_coords`` array, whose positive per-axis map keeps the (x, y)
-    order and turn signs.
+    ``want_sign``.  ``hu`` and ``hl`` are the parts' ``int_hull``s in one
+    integer frame; a positive per-axis map keeps the (x, y) order and turn
+    signs.
 
     Only hull vertices are tested.  That covers every point of the lower
     part (the turn is affine in r), but not every pair of the upper: a
@@ -135,8 +132,32 @@ def _int_hulls_side(hu: Sequence[tuple[int, int]],
     return True
 
 
+def _shifted(pairs: Sequence[tuple[int, int]], dx: int, dy: int) -> Pairs:
+    return [(x + dx, y + dy) for x, y in pairs]
+
+
 # ---------------------------------------------------------------------------
 # base constructions
+
+
+def _base_cupfree(l: int, m: int) -> Pairs:
+    """``build_base_cupfree`` on pairs: the chord points of the parabola
+    (s, s^2) at j/l and the lone midpoint, scaled by 2l to integers."""
+    full, lone = divmod(m - 1, 2)
+    xs, ys = [], []
+    for s in range(full):
+        for j in range(1, l):
+            xs.append(2 * (l * s + j))
+            ys.append(2 * (l * s * s + j * (2 * s + 1)))
+    if lone:
+        xs.append(l * (2 * full + 1))
+        ys.append(l * (2 * full * full + 2 * full + 1))
+    return int_normalize(xs, ys)
+
+
+def _base_capfree(l: int, n: int) -> Pairs:
+    base = _base_cupfree(l, n)
+    return int_normalize([x for x, _ in base], [-y for _, y in base])
 
 
 def build_base_cupfree(l: int, m: int) -> PointSet:
@@ -152,32 +173,59 @@ def build_base_cupfree(l: int, m: int) -> PointSet:
     """
     if l < 3 or m < 3:
         raise ValueError("l and m must be >= 3")
-    full_segments = (m - 1) // 2
-    lone_point = (m - 1) % 2 == 1
-    seg_count = full_segments + (1 if lone_point else 0)
-    verts = [Point(Fraction(t), Fraction(t * t)) for t in range(seg_count + 1)]
-    pts: list[Point] = []
-    for s in range(full_segments):
-        a, b = verts[s], verts[s + 1]
-        for j in range(1, l):
-            t = Fraction(j, l)
-            pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    if lone_point:
-        a, b = verts[full_segments], verts[full_segments + 1]
-        t = Fraction(1, 2)
-        pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    return normalize_integer_coords(PointSet(pts))
+    return _point_set(_base_cupfree(l, m))
 
 
 def build_base_capfree(l: int, n: int) -> PointSet:
     """Mirror image: no l collinear points, no 3-cup, no n-cap."""
-    base = build_base_cupfree(l, n)
-    return normalize_integer_coords(
-        PointSet(Point(p.x, -p.y) for p in base))
+    if l < 3 or n < 3:
+        raise ValueError("l and m must be >= 3")
+    return _point_set(_base_capfree(l, n))
 
 
 # ---------------------------------------------------------------------------
 # recursive combiner
+
+
+def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
+             ux: int = 1, uy: int = 1) -> tuple[Pairs, Pairs]:
+    """``combine_flat`` on parts given as integer pairs with their
+    ``int_hull``, measured in units ``ux`` and ``uy`` per axis.  Returns
+    the union's ``int_normalize`` and its hull in that frame.
+
+    The rational placement scales b's height by t = 2^-k and lifts it by
+    t*ha + 1 over a's origin.  Scaling the y axis by 2^k turns that into
+    b's own height lifted by ha + 2^k: an integer shift, one per attempt,
+    which moves b's hull with it.  The union's hull is the hull of the two
+    parts' hulls; its vertices are points of the union, so normalising
+    them with the union leaves the union's minima and gcds unchanged.
+    """
+    (a, hull_a), (b, hull_b) = a, b
+    axs, ays = [x for x, _ in a], [y for _, y in a]
+    bxs, bys = [x for x, _ in b], [y for _, y in b]
+    wa, ha = max(axs) - min(axs), max(ays) - min(ays)
+    wb, hb = max(bxs) - min(bxs), max(bys) - min(bys)
+    gaps = [g for g in (_min_gap(axs), _min_gap(bxs)) if g is not None]
+    delta = min(gaps) if gaps else ux
+    # want t * (h/delta) * x_max < 1 for both parts
+    k = _halvings(delta * uy, 2 * max(ha, hb, uy) * (wa + ux + wb))
+    dx = max(axs) + ux - min(bxs)
+    dy = max(ays) - min(bys)
+    for _ in range(_MAX_ADAPT_ATTEMPTS):
+        lift = dy + (uy << k)
+        lifted = _shifted(hull_b, dx, lift)
+        if (_int_hulls_side(hull_a, lifted, 1)
+                and _int_hulls_side(lifted, hull_a, -1)):
+            hull = int_hull(hull_a + lifted)
+            c = int_normalize(axs + [x + dx for x in bxs]
+                              + [x for x, _ in hull],
+                              ays + [y + lift for y in bys]
+                              + [y for _, y in hull])
+            return c[:len(c) - len(hull)], c[len(c) - len(hull):]
+        k += 1
+    raise ConstructionError(
+        f"flat placement did not verify within {_MAX_ADAPT_ATTEMPTS} "
+        "attempts")
 
 
 def combine_flat(a: PointSet, b: PointSet) -> PointSet:
@@ -193,36 +241,37 @@ def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     one part, against every point of the other; ``--cert``
     (``verify_construction``) recomputes every bound of the result.
 
-    The vertical scale starts from an analytic slope-bound guess and is
-    halved until both checks pass, at most ``_MAX_ADAPT_ATTEMPTS`` times.
-    Each attempt normalises the union once (``int_coords``), checks both
-    parts' hulls on it, and returns those integer coordinates.
+    The vertical scale t = 2^-k starts from an analytic slope-bound guess
+    and is halved until both checks pass, at most ``_MAX_ADAPT_ATTEMPTS``
+    times.  The result is the union's ``int_coords``.  The work runs on
+    integer pairs (``_combine``): each axis is scaled by the common
+    denominator of its coordinates, which is also its unit length.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("combine_flat needs non-empty parts")
-    a0 = _to_origin(a)
-    b0 = _to_origin(b)
-    wa, ha = _extent(a0)
-    wb, hb = _extent(b0)
-    x_max = wa + 1 + wb
-    delta_candidates = [g for g in (_min_x_gap(a0), _min_x_gap(b0))
-                        if g is not None]
-    delta = min(delta_candidates) if delta_candidates else Fraction(1)
-    h_max = max(ha, hb, Fraction(1))
-    # want t * (h/delta) * x_max < 1 for both parts
-    guess = delta / (2 * h_max * max(x_max, Fraction(1)))
-    t = _pow2_at_most(min(guess, Fraction(1)))
-    for _ in range(_MAX_ADAPT_ATTEMPTS):
-        c = int_coords([*(Point(p.x, t * p.y) for p in a0),
-                        *(Point(p.x + wa + 1, t * p.y + t * ha + 1)
-                          for p in b0)])
-        hl, hr = int_hull(c[:len(a0)]), int_hull(c[len(a0):])
-        if _int_hulls_side(hl, hr, 1) and _int_hulls_side(hr, hl, -1):
-            return PointSet(Point(Fraction(x), Fraction(y)) for x, y in c)
-        t = t / 2
-    raise ConstructionError(
-        f"flat placement did not verify within {_MAX_ADAPT_ATTEMPTS} "
-        "attempts")
+    pts = [*a, *b]
+    ux = math.lcm(*(p.x.denominator for p in pts))
+    uy = math.lcm(*(p.y.denominator for p in pts))
+    c = [(p.x.numerator * (ux // p.x.denominator),
+          p.y.numerator * (uy // p.y.denominator)) for p in pts]
+    ca, cb = c[:len(a)], c[len(a):]
+    return _point_set(_combine((ca, int_hull(ca)), (cb, int_hull(cb)),
+                               ux, uy)[0])
+
+
+def _free_part(l: int, m: int, n: int,
+               memo: dict[tuple[int, int], tuple[Pairs, Pairs]]
+               ) -> tuple[Pairs, Pairs]:
+    """``build_free_set`` on pairs, with its ``int_hull``; ``memo`` holds
+    the parts already built for this l, by (m, n)."""
+    if (m, n) not in memo:
+        if n == 3 or m == 3:
+            base = _base_cupfree(l, m) if n == 3 else _base_capfree(l, n)
+            memo[m, n] = base, int_hull(base)
+        else:
+            memo[m, n] = _combine(_free_part(l, m - 1, n, memo),
+                                  _free_part(l, m, n - 1, memo))
+    return memo[m, n]
 
 
 def build_free_set(l: int, m: int, n: int) -> PointSet:
@@ -232,20 +281,7 @@ def build_free_set(l: int, m: int, n: int) -> PointSet:
     if min(l, m, n) < 3:
         raise ValueError("l, m, n must all be >= 3")
     _check_size(free_set_size_bound(l, m, n))
-    memo: dict[tuple[int, int], PointSet] = {}
-
-    def rec(mm: int, nn: int) -> PointSet:
-        key = (mm, nn)
-        if key not in memo:
-            if nn == 3:
-                memo[key] = build_base_cupfree(l, mm)
-            elif mm == 3:
-                memo[key] = build_base_capfree(l, nn)
-            else:
-                memo[key] = combine_flat(rec(mm - 1, nn), rec(mm, nn - 1))
-        return memo[key]
-
-    return rec(m, n)
+    return _point_set(_free_part(l, m, n, {})[0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +303,20 @@ def _largest_remainder(values: Sequence[Fraction], total: int) -> list[int]:
     return out
 
 
-def _arc_anchor(u: Fraction) -> Point:
-    """Rational point on the unit circle, from (0, 1) at u=0 to (1, 0) at u=1."""
-    d = 1 + u * u
-    return Point(2 * u / d, (1 - u * u) / d)
+def _arc_anchors(t: int) -> tuple[Pairs, int]:
+    """The rational points (2u, 1 - u^2)/(1 + u^2) of the unit circle at
+    u = i/(t+1), i = 1..t, from near (0, 1) to near (1, 0): integer pairs
+    over one common denominator, and that denominator."""
+    c = t + 1
+    dens = [c * c + a * a for a in range(1, t + 1)]
+    den = math.lcm(*dens)
+    return [(2 * a * c * (den // d), (c * c - a * a) * (den // d))
+            for a, d in zip(range(1, t + 1), dens)], den
 
 
-def _blocks_pairwise_ok(placed: Sequence[tuple[Point, ...]]) -> bool:
-    """Exact betweenness checks for blocks ordered top-left to bottom-right:
+def _blocks_pairwise_ok(hulls: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """Exact betweenness checks on the hulls of blocks ordered top-left to
+    bottom-right, in one integer frame:
 
     * lines through two hull vertices of block i pass strictly above every
       block j > i,
@@ -289,9 +331,6 @@ def _blocks_pairwise_ok(placed: Sequence[tuple[Point, ...]]) -> bool:
     through other pairs of a block.  ``--cert`` (``verify_construction``)
     recomputes every bound of the result.
     """
-    coords = iter(int_coords([p for block in placed for p in block]))
-    hulls = [int_hull(itertools.islice(coords, len(block)))
-             for block in placed]
     t = len(hulls)
     for i in range(t):
         for j in range(i + 1, t):
@@ -321,6 +360,14 @@ def build_convex_free(l: int, n: int) -> PointSet:
     total hits the target exactly (dropping rightmost points, which cannot
     create new structures).  Requires n >= 6 (the arc needs all three block
     kinds).
+
+    Each block is scaled into a size x size*flat box, with size = flat =
+    2^-e halved together from a quarter of the anchors' least x gap until
+    ``_blocks_pairwise_ok`` passes.  The work runs on integer pairs: per
+    attempt, x is scaled by 2^(e+1) * lcm(widths) * den and y by
+    2^(2e) * lcm(heights) * den, where den is the anchors' common
+    denominator, so each attempt only shifts the blocks' fixed integer
+    shapes by their scaled anchors.
     """
     if l < 3:
         raise ValueError("l must be >= 3")
@@ -329,38 +376,42 @@ def build_convex_free(l: int, n: int) -> PointSet:
     target_total = (3 * l - 1) * 2 ** (n - 5)
     _check_size(target_total)
     shapes = [(n, 3)] + [(n - 2 - i, 4 + i) for i in range(n - 5)] + [(3, n)]
-    blocks = [build_free_set(l, mm, nn) for mm, nn in shapes]
     hs = [free_set_size_bound(l, mm, nn) for mm, nn in shapes]
     if sum(hs) != target_total:
         raise ConstructionError("block size bounds do not telescope to the "
                                 "target total")
-    targets = _largest_remainder(hs, target_total)
-    trimmed = [blk[:tgt] for blk, tgt in zip(blocks, targets)]
+    memo: dict[tuple[int, int], tuple[Pairs, Pairs]] = {}
+    sizes = _largest_remainder(hs, target_total)
+    blocks = [_free_part(l, mm, nn, memo)[0][:size]
+              for (mm, nn), size in zip(shapes, sizes)]
 
-    t = len(trimmed)
-    anchors = [_arc_anchor(Fraction(i + 1, t + 1)) for i in range(t)]
-    gap_x = min(anchors[i + 1].x - anchors[i].x for i in range(t - 1))
-    size = _pow2_at_most(gap_x / 4)
-    flat = size
-    norm = []
-    for blk in trimmed:
-        b0 = _to_origin(blk)
-        w, h = _extent(b0)
-        norm.append((b0, max(w, Fraction(1)), max(h, Fraction(1))))
+    anchors, den = _arc_anchors(len(blocks))
+    e = _halvings(min(q[0] - p[0] for p, q in zip(anchors, anchors[1:])),
+                  4 * den)
+    boxes = []  # each block's lower-left corner, width and height
+    for blk in blocks:
+        xs, ys = [x for x, _ in blk], [y for _, y in blk]
+        x0, y0 = min(xs), min(ys)
+        boxes.append((x0, y0, max(max(xs) - x0, 1), max(max(ys) - y0, 1)))
+    w_lcm = math.lcm(*(w for _, _, w, _ in boxes))
+    h_lcm = math.lcm(*(h for _, _, _, h in boxes))
+    scaled, hulls, offsets = [], [], []
+    for blk, (x0, y0, w, h), (ax, ay) in zip(blocks, boxes, anchors):
+        fx, fy = 2 * den * (w_lcm // w), den * (h_lcm // h)
+        pts = sorted(((fx * (x - x0), fy * (y - y0)) for x, y in blk),
+                     key=lambda p: p[0])
+        scaled.append(pts)
+        hulls.append(int_hull(pts))
+        offsets.append((w_lcm * ax, h_lcm * ay))
     for _ in range(_MAX_ADAPT_ATTEMPTS):
-        placed = []
-        for (b0, w, h), anchor in zip(norm, anchors):
-            sx = size / w
-            sy = size * flat / h
-            placed.append(tuple(Point(sx * p.x + anchor.x - size / 2,
-                                      sy * p.y + anchor.y) for p in b0))
-        if _blocks_pairwise_ok(placed):
-            pts: list[Point] = []
-            for block in placed:
-                pts.extend(sorted(block, key=lambda p: p.x))
-            return normalize_integer_coords(PointSet(pts))
-        size = size / 2
-        flat = flat / 2
+        shift = [(ox << (e + 1), oy << (2 * e)) for ox, oy in offsets]
+        if _blocks_pairwise_ok([_shifted(hull, *d)
+                                for hull, d in zip(hulls, shift)]):
+            out = [p for pts, d in zip(scaled, shift)
+                   for p in _shifted(pts, *d)]
+            return _point_set(int_normalize([x for x, _ in out],
+                                            [y for _, y in out]))
+        e += 1
     raise ConstructionError(
         f"arc placement did not verify within {_MAX_ADAPT_ATTEMPTS} "
         "attempts")

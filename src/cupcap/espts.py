@@ -82,8 +82,18 @@ def loads(text: str) -> PointSet:
 
 
 def dumps(ps: PointSet) -> str:
+    """The espts text of a point set; a coordinate whose numerator or
+    denominator has more digits than Python converts to a string is
+    refused with a ValueError that names the point's 0-based index."""
     out = [HEADER]
-    out.extend(f"{p.x} {p.y}" for p in ps)
+    for i, p in enumerate(ps):
+        try:
+            out.append(f"{p.x} {p.y}")
+        except ValueError:
+            raise ValueError(
+                f"point {i}: a coordinate exceeds Python's limit of "
+                f"{sys.get_int_max_str_digits()} digits for int-to-string "
+                "conversion") from None
     return "\n".join(out) + "\n"
 
 

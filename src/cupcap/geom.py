@@ -88,16 +88,28 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
 def int_coords(pts: Sequence[Point]) -> list[tuple[int, int]]:
     """Exact integer surrogate coordinates, in input order.
 
-    Per axis: clear denominators, translate the minimum to zero, divide by
-    the content gcd.  Positive axis scalings and translations preserve every
-    orientation sign, collinearity group and x-order.
+    Per axis: clear denominators, then ``int_normalize``.  Positive axis
+    scalings and translations preserve every orientation sign, collinearity
+    group and x-order.
     """
     if not pts:
         return []
     sx = math.lcm(*(p.x.denominator for p in pts))
     sy = math.lcm(*(p.y.denominator for p in pts))
-    xs = [p.x.numerator * (sx // p.x.denominator) for p in pts]
-    ys = [p.y.numerator * (sy // p.y.denominator) for p in pts]
+    return int_normalize(
+        [p.x.numerator * (sx // p.x.denominator) for p in pts],
+        [p.y.numerator * (sy // p.y.denominator) for p in pts])
+
+
+def int_normalize(xs: Sequence[int], ys: Sequence[int]
+                  ) -> list[tuple[int, int]]:
+    """The pairs ``(xs[i], ys[i])`` with each axis translated to minimum 0
+    and divided by its content gcd.
+
+    The result is the same for every positive scaling and translation of
+    either axis, so it is also ``int_coords`` of any rational set that maps
+    to these pairs that way.
+    """
     mx, my = min(xs), min(ys)
     xs = [v - mx for v in xs]
     ys = [v - my for v in ys]

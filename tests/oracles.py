@@ -9,14 +9,24 @@ scale.
 The references (``exact_label_tables``, ``exact_max_collinear``) are the
 library's algorithms with every slope compared by its exact integer key and
 no float filter, so they return the same tables and witnesses, tie-breaks
-included, at any size.
+included, at any size.  ``ref_combine_flat``, ``ref_build_free_set`` and
+``ref_build_convex_free`` are the constructions placed in ``Fraction``
+coordinates, scale by scale, as the library's integer-pair builders must
+reproduce them point for point.
 """
 
+import itertools
+import math
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from typing import Optional
 
-from cupcap.geom import int_coords, slope_scale
+from cupcap.bounds import free_set_size_bound
+from cupcap.constructions import (_MAX_ADAPT_ATTEMPTS, _int_hulls_side,
+                                  _largest_remainder)
+from cupcap.geom import Point, PointSet, int_coords, int_cross, int_hull, \
+    slope_scale
 
 
 def cross(o, a, b):
@@ -362,3 +372,147 @@ def brute_largest_relative(pts, body_vertices, predicate) -> int:
     pts = list(pts)
     return _levelwise_max(len(pts), lambda sub: predicate(
         [pts[i] for i in sub], body_vertices))
+
+
+# ---------------------------------------------------------------------------
+# constructions in Fraction coordinates
+
+
+def _normalized(points) -> PointSet:
+    return PointSet(Point(Fraction(x), Fraction(y))
+                    for x, y in int_coords(list(points)))
+
+
+def _extent(ps):
+    xs = [p.x for p in ps]
+    ys = [p.y for p in ps]
+    return max(xs) - min(xs), max(ys) - min(ys)
+
+
+def _min_x_gap(ps):
+    xs = sorted(p.x for p in ps)
+    gaps = [b - a for a, b in zip(xs, xs[1:]) if b != a]
+    return min(gaps) if gaps else None
+
+
+def _to_origin(ps):
+    mx = min(p.x for p in ps)
+    my = min(p.y for p in ps)
+    return [Point(p.x - mx, p.y - my) for p in ps]
+
+
+def _pow2_at_most(value: Fraction) -> Fraction:
+    """Largest power of two <= value (value > 0)."""
+    if value >= 1:
+        return Fraction(1 << (int(value).bit_length() - 1))
+    k = 1
+    while Fraction(1, 1 << k) > value:
+        k += 1
+    return Fraction(1, 1 << k)
+
+
+def ref_base_cupfree(l: int, m: int) -> PointSet:
+    """l - 1 points inside each of floor((m-1)/2) parabola chords, and one
+    midpoint on the next chord when m - 1 is odd."""
+    full = (m - 1) // 2
+    lone = (m - 1) % 2 == 1
+    verts = [Point(Fraction(t), Fraction(t * t))
+             for t in range(full + lone + 1)]
+    pts = []
+    for s in range(full):
+        a, b = verts[s], verts[s + 1]
+        for j in range(1, l):
+            t = Fraction(j, l)
+            pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    if lone:
+        a, b = verts[full], verts[full + 1]
+        pts.append(Point((a.x + b.x) / 2, (a.y + b.y) / 2))
+    return _normalized(pts)
+
+
+def ref_base_capfree(l: int, n: int) -> PointSet:
+    return _normalized(Point(p.x, -p.y) for p in ref_base_cupfree(l, n))
+
+
+def ref_combine_flat(a: PointSet, b: PointSet) -> PointSet:
+    """The right part b flattened by t = 2^-k and stacked above and to the
+    right of a, t halved from an analytic guess until both hull checks
+    pass on the union's ``int_coords``."""
+    a0, b0 = _to_origin(a), _to_origin(b)
+    wa, ha = _extent(a0)
+    wb, hb = _extent(b0)
+    x_max = wa + 1 + wb
+    gaps = [g for g in (_min_x_gap(a0), _min_x_gap(b0)) if g is not None]
+    delta = min(gaps) if gaps else Fraction(1)
+    h_max = max(ha, hb, Fraction(1))
+    guess = delta / (2 * h_max * max(x_max, Fraction(1)))
+    t = _pow2_at_most(min(guess, Fraction(1)))
+    for _ in range(_MAX_ADAPT_ATTEMPTS):
+        c = int_coords([*(Point(p.x, t * p.y) for p in a0),
+                        *(Point(p.x + wa + 1, t * p.y + t * ha + 1)
+                          for p in b0)])
+        hl, hr = int_hull(c[:len(a0)]), int_hull(c[len(a0):])
+        if _int_hulls_side(hl, hr, 1) and _int_hulls_side(hr, hl, -1):
+            return PointSet(Point(Fraction(x), Fraction(y)) for x, y in c)
+        t = t / 2
+    raise AssertionError("flat placement did not verify")
+
+
+def ref_build_free_set(l: int, m: int, n: int) -> PointSet:
+    memo = {}
+
+    def rec(mm, nn):
+        if (mm, nn) not in memo:
+            memo[mm, nn] = (ref_base_cupfree(l, mm) if nn == 3 else
+                            ref_base_capfree(l, nn) if mm == 3 else
+                            ref_combine_flat(rec(mm - 1, nn), rec(mm, nn - 1)))
+        return memo[mm, nn]
+
+    return rec(m, n)
+
+
+def _ref_blocks_ok(placed) -> bool:
+    coords = iter(int_coords([p for block in placed for p in block]))
+    hulls = [int_hull(itertools.islice(coords, len(block)))
+             for block in placed]
+    for i, j in combinations(range(len(hulls)), 2):
+        if not (_int_hulls_side(hulls[i], hulls[j], -1)
+                and _int_hulls_side(hulls[j], hulls[i], 1)):
+            return False
+    return all(int_cross(p, q, r) < 0
+               for hi, hj, hk in combinations(hulls, 3)
+               for p in hi for q in hj for r in hk)
+
+
+def ref_build_convex_free(l: int, n: int) -> PointSet:
+    """Trimmed free-set blocks on the unit quarter circle's rational points
+    (2u, 1 - u^2)/(1 + u^2), u = i/(t+1); block size and flatness halve
+    together until ``_ref_blocks_ok`` passes."""
+    target = (3 * l - 1) * 2 ** (n - 5)
+    shapes = [(n, 3)] + [(n - 2 - i, 4 + i) for i in range(n - 5)] + [(3, n)]
+    allot = _largest_remainder(
+        [free_set_size_bound(l, mm, nn) for mm, nn in shapes], target)
+    trimmed = [ref_build_free_set(l, mm, nn)[:k]
+               for (mm, nn), k in zip(shapes, allot)]
+    t = len(trimmed)
+    anchors = []
+    for i in range(t):
+        u = Fraction(i + 1, t + 1)
+        anchors.append(Point(2 * u / (1 + u * u), (1 - u * u) / (1 + u * u)))
+    size = _pow2_at_most(min(q.x - p.x for p, q in zip(anchors, anchors[1:]))
+                         / 4)
+    flat = size
+    norm = []
+    for blk in trimmed:
+        b0 = _to_origin(blk)
+        w, h = _extent(b0)
+        norm.append((b0, max(w, Fraction(1)), max(h, Fraction(1))))
+    for _ in range(_MAX_ADAPT_ATTEMPTS):
+        placed = [[Point(size / w * p.x + anchor.x - size / 2,
+                         size * flat / h * p.y + anchor.y) for p in b0]
+                  for (b0, w, h), anchor in zip(norm, anchors)]
+        if _ref_blocks_ok(placed):
+            return _normalized(p for block in placed
+                               for p in sorted(block, key=lambda p: p.x))
+        size, flat = size / 2, flat / 2
+    raise AssertionError("arc placement did not verify")

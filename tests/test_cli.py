@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import cupcap
-from cupcap import BoundsConfig, ConstructionError, build_free_set
+from cupcap import (BoundsConfig, ConstructionError, PointSet,
+                    build_convex_free, build_free_set, max_collinear)
 from cupcap.cli import RunConfig, main
 from cupcap.espts import load_file
 
@@ -83,6 +84,18 @@ class TestGen:
         assert "did not verify" in capsys.readouterr().err
 
 
+    def test_coordinate_over_int_digit_limit_exits_two(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def huge(l, m, n):
+            return PointSet.of([(0, 1), (10**5000, 0)])
+
+        monkeypatch.setattr("cupcap.constructions.build_free_set", huge)
+        out = tmp_path / "x.pts"
+        assert run("gen-x", "3", "5", "5", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "point 1: a coordinate exceeds" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_pass_exit_zero(self, tmp_path):
         out = tmp_path / "x.pts"
@@ -129,6 +142,42 @@ class TestAnalyze:
         assert payload["structure"] is None
         assert len(payload["witnesses"]["longest_cup"]) == \
             payload["longest_cup"]
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        import cupcap.extremal
+        calls = []
+        scan = cupcap.extremal.max_collinear
+
+        def counted(ps):
+            calls.append(len(ps))
+            return scan(ps)
+        monkeypatch.setattr(cupcap.extremal, "max_collinear", counted)
+        return calls
+
+    def test_collinear_free_input_skips_the_collinear_scan(self, tmp_path,
+                                                            scans):
+        # es:3,6 has no three collinear points; the reported run is the
+        # scan's own witness, the first two points in (x, y) order
+        ps = build_convex_free(3, 6)
+        out, rep = tmp_path / "es.pts", tmp_path / "r.json"
+        run("gen-es", "3", "6", "--out", str(out))
+        assert run("analyze", "--in", str(out), "--report", str(rep)) == 0
+        assert scans == []
+        payload = json.loads(rep.read_text())
+        assert payload["max_collinear"] == 2
+        assert payload["witnesses"]["max_collinear"] == \
+            [[str(p.x), str(p.y)] for p in max_collinear(ps).members]
+
+    def test_collinear_input_runs_the_collinear_scan(self, tmp_path, scans):
+        out, rep = tmp_path / "x.pts", tmp_path / "r.json"
+        out.write_text("espts v1\n0 0\n3 1\n1 1\n2 2\n5 3\n")
+        assert run("analyze", "--in", str(out), "--report", str(rep)) == 0
+        assert scans == [5]
+        payload = json.loads(rep.read_text())
+        assert payload["max_collinear"] == 3
+        assert payload["witnesses"]["max_collinear"] == \
+            [["0", "0"], ["1", "1"], ["2", "2"]]
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.pts"
@@ -389,6 +438,32 @@ class TestColdStart:
     @pytest.mark.parametrize("module", ["cupcap", "cupcap.cli"])
     def test_import_skips_numpy(self, module):
         assert not self.numpy_loaded(f"import {module}")
+
+    def test_submodules_load_on_first_use(self, tmp_path):
+        # import cupcap loads no submodule; gen-x never loads relative, and
+        # fat-cap never loads constructions
+        d = tmp_path
+        assert not self.numpy_loaded(f"""
+import sys
+import cupcap
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("cupcap."))
+assert loaded() == [], loaded()
+assert cupcap.extremal.max_collinear is cupcap.max_collinear
+assert loaded() == ["cupcap.extremal", "cupcap.geom"], loaded()
+""")
+        assert not self.numpy_loaded(f"""
+import sys
+from cupcap.cli import main
+assert main(["gen-x", "3", "5", "5", "--out", r"{d / 'x.pts'}"]) == 0
+assert "cupcap.relative" not in sys.modules
+""")
+        assert not self.numpy_loaded(f"""
+import sys
+from cupcap.cli import main
+assert main(["fat-cap", "--in", r"{d / 'x.pts'}", "--k", "4", "--budget",
+             "5", "--report", r"{d / 'fc.json'}"]) == 0
+assert "cupcap.constructions" not in sys.modules
+""")
 
     def test_exact_big_integer_steps_skip_numpy(self, tmp_path):
         # es:3,8 has 64 points with 77-bit coordinates: over the numpy

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from cupcap import (Point, PointSet, build_base_capfree, build_base_cupfree,
-                    build_convex_free, build_free_set, combine_flat,
+from cupcap import (ConstructionError, Point, PointSet, build_base_capfree,
+                    build_base_cupfree, build_convex_free, build_free_set,
+                    combine_flat,
                     cup_cap_threshold, free_set_size_bound, longest_cap_size,
                     longest_cup_size, max_collinear, normalize_integer_coords,
                     orientation, verify_construction)
@@ -149,6 +150,61 @@ class TestCombineFlat:
                    for p, q in combinations(left, 2) for r in right)
         assert all(oracles.cross(p, q, r) < 0
                    for p, q in combinations(right, 2) for r in left)
+
+
+class TestMatchesFractionReference:
+    """The integer-pair builders return the very sets that the Fraction
+    placements in ``oracles`` build, scale by scale."""
+
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_base_sets(self, l):
+        for m in range(3, 10):
+            assert build_base_cupfree(l, m) == oracles.ref_base_cupfree(l, m)
+            assert build_base_capfree(l, m) == oracles.ref_base_capfree(l, m)
+
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_free_sets(self, l):
+        for m in range(3, 8):
+            for n in range(3, 8):
+                assert build_free_set(l, m, n) == \
+                    oracles.ref_build_free_set(l, m, n), (l, m, n)
+
+    @pytest.mark.parametrize("l", [3, 4, 5])
+    def test_convex_free_sets(self, l):
+        for n in range(6, 10):
+            assert build_convex_free(l, n) == \
+                oracles.ref_build_convex_free(l, n), (l, n)
+
+    def test_combine_flat_on_rational_unnormalised_inputs(self):
+        # each part distinct in x, then scaled and translated per axis by
+        # seeded rationals, so units, denominators and origins all differ
+        # from the integer frame the builders use internally
+        rng = random.Random(21)
+
+        def part(k):
+            sx = Fraction(rng.randrange(1, 9), rng.choice((1, 2, 3, 7)))
+            sy = Fraction(rng.randrange(1, 9), rng.choice((1, 4, 5, 9)))
+            tx = Fraction(rng.randrange(-99, 100), rng.choice((1, 3, 11)))
+            ty = Fraction(rng.randrange(-99, 100), rng.choice((1, 2, 13)))
+            return PointSet(Point(tx + sx * x, ty + sy * y)
+                            for x, y in zip(rng.sample(range(-40, 41), k),
+                                            rng.choices(range(-40, 41), k=k)))
+
+        for _ in range(200):
+            a, b = part(rng.randrange(1, 8)), part(rng.randrange(1, 8))
+            assert combine_flat(a, b) == oracles.ref_combine_flat(a, b)
+        left, right = build_free_set(4, 5, 6), build_free_set(4, 6, 5)
+        left = PointSet(Point(p.x / 3 - 7, 5 * p.y + Fraction(1, 2))
+                        for p in left)
+        assert combine_flat(left, right) == \
+            oracles.ref_combine_flat(left, right)
+
+    def test_vertical_pair_never_verifies(self):
+        # a vertical pair of hull vertices is crossed by the other part at
+        # every scale
+        with pytest.raises(ConstructionError, match="did not verify"):
+            combine_flat(PointSet.of([(0, 0), (0, 1)]),
+                         PointSet.of([(3, 2)]))
 
 
 class TestBuildFreeSet:

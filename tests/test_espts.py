@@ -73,3 +73,12 @@ def test_number_over_int_digit_limit_reports_line(token):
         loads(f"espts v1\n0 0\n{token} 3\n")
     assert err.value.line_no == 3
     assert f"limit of {sys.get_int_max_str_digits()} digits" in str(err.value)
+
+
+def test_writer_refuses_number_over_int_digit_limit():
+    """The writer names the point whose coordinate Python cannot convert
+    to a string, instead of failing with Python's anonymous error."""
+    ps = PointSet.of([(1, 2), (10**5000, 0)])
+    with pytest.raises(ValueError, match=r"^point 1: a coordinate exceeds "
+                       rf"Python's limit of {sys.get_int_max_str_digits()}"):
+        dumps(ps)

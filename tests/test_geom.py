@@ -10,7 +10,7 @@ from cupcap import (HalfPlane, Orientation, Point, PointSet, convex_hull,
                     is_convex_position, orientation, point_in_convex_hull,
                     point_in_convex_region, shear_distinct_x)
 from cupcap.geom import (cross_sign, int_coords, int_cross, int_hull,
-                         int_hull_contains, slope_scale)
+                         int_hull_contains, int_normalize, slope_scale)
 
 import oracles
 from conftest import random_point_set
@@ -193,6 +193,23 @@ class TestConvexHull:
                 oracles.point_in_hull_closed(q, pts)
         assert point_in_convex_hull(far, pts) == \
             oracles.point_in_hull_closed(far, pts)
+
+
+class TestIntNormalize:
+    positive = st.fractions(min_value=Fraction(1, 2**40), max_value=2**40)
+    shift = st.fractions(min_value=-2**40, max_value=2**40)
+
+    @given(st.lists(int_pairs, min_size=1, max_size=12), positive, positive,
+           shift, shift)
+    def test_equals_int_coords_after_positive_axis_maps(self, pairs, sx, sy,
+                                                         tx, ty):
+        # int_normalize is the one representative of the pairs under
+        # positive per-axis scalings and translations
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        mapped = [Point(sx * x + tx, sy * y + ty) for x, y in pairs]
+        assert int_normalize(xs, ys) == int_coords(mapped)
+        assert int_normalize(xs, ys) == \
+            int_normalize(*zip(*int_normalize(xs, ys)))
 
 
 class TestConvexPosition:
