@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS or name == "espts":
+    if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)
     mod = _MODULE_OF.get(name)
     if mod is None:

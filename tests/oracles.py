@@ -15,11 +15,9 @@ coordinates, scale by scale, as the library's integer-pair builders must
 reproduce them point for point.
 """
 
-import itertools
-import math
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 from cupcap.bounds import free_set_size_bound
@@ -473,7 +471,7 @@ def ref_build_free_set(l: int, m: int, n: int) -> PointSet:
 
 def _ref_blocks_ok(placed) -> bool:
     coords = iter(int_coords([p for block in placed for p in block]))
-    hulls = [int_hull(itertools.islice(coords, len(block)))
+    hulls = [int_hull(islice(coords, len(block)))
              for block in placed]
     for i, j in combinations(range(len(hulls)), 2):
         if not (_int_hulls_side(hulls[i], hulls[j], -1)

@@ -10,7 +10,7 @@ from cupcap import (ConstructionError, Point, PointSet, build_base_capfree,
                     cup_cap_threshold, free_set_size_bound, longest_cap_size,
                     longest_cup_size, max_collinear, normalize_integer_coords,
                     orientation, verify_construction)
-from cupcap.constructions import _int_hulls_side
+from cupcap.constructions import _free_part, _int_hulls_side
 from cupcap.geom import cross_sign, int_coords, int_hull
 
 import oracles
@@ -198,6 +198,16 @@ class TestMatchesFractionReference:
                         for p in left)
         assert combine_flat(left, right) == \
             oracles.ref_combine_flat(left, right)
+
+    def test_carried_hulls_are_the_parts_hulls(self):
+        # each level checks its parts on the hulls the level below returned
+        # with its pairs, in place of recomputing them
+        for l in (3, 4, 5):
+            memo = {}
+            _free_part(l, 7, 7, memo)
+            assert len(memo) == 24  # every (m, n) up to (7, 7) but (3, 3)
+            for pairs, hull in memo.values():
+                assert hull == int_hull(pairs)
 
     def test_vertical_pair_never_verifies(self):
         # a vertical pair of hull vertices is crossed by the other part at
