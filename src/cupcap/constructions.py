@@ -11,8 +11,9 @@ Three families:
   produce sets with no l collinear points and no n points in convex
   position.
 
-"Very flat" is made operational: placements start from an analytic guess
-and shrink (halving the vertical scale / the block size) until the exact
+"Very flat" is made operational: the combiner places its flattened copy
+at an analytic scale that provably separates the parts, and the arc
+assembly halves its block size from an analytic guess until the exact
 separation predicates verify.  Verification always happens on the final
 coordinates; nothing is trusted from construction-time reasoning.
 """
@@ -195,10 +196,22 @@ def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
 
     The rational placement scales b's height by t = 2^-k and lifts it by
     t*ha + 1 over a's origin.  Scaling the y axis by 2^k turns that into
-    b's own height lifted by ha + 2^k: an integer shift, one per attempt,
-    which moves b's hull with it.  The union's hull is the hull of the two
-    parts' hulls; its vertices are points of the union, so normalising
-    them with the union leaves the union's minima and gcds unchanged.
+    b's own height lifted by ha + 2^k: an integer shift, which moves b's
+    hull with it.  The union's hull is the hull of the two parts' hulls;
+    its vertices are points of the union, so normalising them with the
+    union leaves the union's minima and gcds unchanged.
+
+    One placement is checked, at the first k, because no other could
+    pass where it fails.  Let delta be the least gap between distinct x
+    of one part, H = max(ha, hb, uy) and W = wa + ux + wb; k is the least
+    with uy * 2^k * delta >= 2*H*W, and b's lowest point lies G = uy *
+    2^k above a's highest.  A pair p, q of a with distinct x has |slope|
+    <= ha / delta, and every point r of b lies at most W to the right
+    of q, so the line pq passes r's x at most ha*W/delta < G above a's
+    top: r is strictly above it.  Mirrored, every line through two points
+    of b with distinct x passes a's points strictly above them.  So the
+    check fails only on a pair of hull vertices with equal x, whose
+    vertical line has the other part on its wrong side at every k.
     """
     (a, hull_a), (b, hull_b) = a, b
     axs, ays = [x for x, _ in a], [y for _, y in a]
@@ -210,22 +223,17 @@ def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
     # want t * (h/delta) * x_max < 1 for both parts
     k = _halvings(delta * uy, 2 * max(ha, hb, uy) * (wa + ux + wb))
     dx = max(axs) + ux - min(bxs)
-    dy = max(ays) - min(bys)
-    for _ in range(_MAX_ADAPT_ATTEMPTS):
-        lift = dy + (uy << k)
-        lifted = _shifted(hull_b, dx, lift)
-        if (_int_hulls_side(hull_a, lifted, 1)
-                and _int_hulls_side(lifted, hull_a, -1)):
-            hull = int_hull(hull_a + lifted)
-            c = int_normalize(axs + [x + dx for x in bxs]
-                              + [x for x, _ in hull],
-                              ays + [y + lift for y in bys]
-                              + [y for _, y in hull])
-            return c[:len(c) - len(hull)], c[len(c) - len(hull):]
-        k += 1
-    raise ConstructionError(
-        f"flat placement did not verify within {_MAX_ADAPT_ATTEMPTS} "
-        "attempts")
+    lift = max(ays) - min(bys) + (uy << k)
+    lifted = _shifted(hull_b, dx, lift)
+    if not (_int_hulls_side(hull_a, lifted, 1)
+            and _int_hulls_side(lifted, hull_a, -1)):
+        raise ConstructionError(
+            "flat placement did not verify: a part has two hull vertices "
+            "with equal x")
+    hull = int_hull(hull_a + lifted)
+    c = int_normalize(axs + [x + dx for x in bxs] + [x for x, _ in hull],
+                      ays + [y + lift for y in bys] + [y for _, y in hull])
+    return c[:len(c) - len(hull)], c[len(c) - len(hull):]
 
 
 def combine_flat(a: PointSet, b: PointSet) -> PointSet:
@@ -241,11 +249,12 @@ def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     one part, against every point of the other; ``--cert``
     (``verify_construction``) recomputes every bound of the result.
 
-    The vertical scale t = 2^-k starts from an analytic slope-bound guess
-    and is halved until both checks pass, at most ``_MAX_ADAPT_ATTEMPTS``
-    times.  The result is the union's ``int_coords``.  The work runs on
-    integer pairs (``_combine``): each axis is scaled by the common
-    denominator of its coordinates, which is also its unit length.
+    The vertical scale t = 2^-k comes from an analytic slope bound, which
+    passes both checks unless a part has two hull vertices with equal x
+    (``_combine``); such parts raise ``ConstructionError``.  The result is
+    the union's ``int_coords``.  The work runs on integer pairs
+    (``_combine``): each axis is scaled by the common denominator of its
+    coordinates, which is also its unit length.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("combine_flat needs non-empty parts")

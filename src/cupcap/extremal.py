@@ -22,15 +22,23 @@ Conventions:
   correctly rounded at any size, as is IEEE division, and rounding is
   monotone, so ``fl(dy/dx) < fl(dy'/dx')`` implies ``dy/dx < dy'/dx'``, and
   equal slopes give equal floats.  Only slopes whose floats are equal stay
-  undecided.  The pure-Python tables give every anchor where a
-  predecessor's float equals a successor's the exact keys, and
-  ``max_collinear`` groups every anchor with a float tie by exact keys.
-  The division's one failure, OverflowError for a quotient of 2**1024 or
-  more, sends its anchor to the exact keys as well.
+  undecided.  A quotient of 2**1024 or more, where CPython raises
+  OverflowError, is taken as the signed infinity IEEE rounds it to, which
+  keeps the order monotone.
+* The pure-Python tables label each successor of an anchor by comparing
+  its slope with a few thresholds: the least predecessor slope over the
+  labels >= v, for each v (the greatest, for caps).  The minimum of some
+  floats is the float of the exact minimum, by monotonicity, so each
+  comparison with a threshold is decided exactly unless the two floats
+  are equal.  Only a successor whose float equals a threshold's takes its
+  exact key, against thresholds rebuilt from the predecessors' exact
+  keys; two infinities are such a tie.  ``max_collinear`` groups every
+  anchor with a float tie by exact keys.
 * The label tables also say whether any three points are collinear.  A
-  collinear triple h < i < j has equal exact slopes into and out of i,
-  hence equal floats, so anchor i is decided exactly, where equal exact
-  keys or a zero cross product show the triple.  ``find_structure`` and
+  collinear triple has equal exact slopes from its leftmost point to the
+  other two, hence equal floats; at an anchor with equal successor floats
+  the pure-Python tables compare exact keys, and the int64 tables find a
+  zero cross product at the middle point.  ``find_structure`` and
   ``constructions.verify_construction`` run ``max_collinear`` only when
   that flag is set.
 * Vectorized int64 kernels (the label tables, and ``max_collinear``'s
@@ -43,6 +51,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -59,19 +68,22 @@ from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 _INT64_COORD_LIMIT = 1 << 30
 # Below this size the int64 kernels do not pay for numpy's dispatch.  On
 # 20-bit random sets (40 sets a size, median of 15 interleaved runs, 2-vCPU
-# Xeon, numpy 2.4.6) the float-filtered Python tables took 0.70 of the
-# int64 tables' time at 32 points, 0.81 at 38, 0.85 at 40 and 1.16 at 48.
-# Raising the value moves sets between paths, which needs its own measured
-# pairs.  It also gates ``max_collinear``'s int64 prefilter, which pays off
+# Xeon, numpy 2.4.6) the push-forward Python tables took 0.58 of the int64
+# tables' time at 32 points, 0.67 at 38, 0.78 at 40 and 0.88 at 48, so the
+# break-even now lies above 48.  Raising the value moves sets between
+# paths, which needs its own measured pairs.  It also gates ``max_collinear``'s int64 prefilter, which pays off
 # sooner: on 20-bit general-position sets it took 0.05 ms a set against
 # the per-anchor set test's 0.07 at 20 points, 0.08 against 0.27 at 38 and
 # 1.5 against 9.3 at 253 (20 sets a size, median of 7 runs, numpy loaded).
 _NUMPY_MIN_POINTS = 38
 # Most points the label tables are built for.  Both pure-Python tables of
-# 4096 random 60-bit points took 26.5 s CPU at 291 MB peak RSS, and of 2048
-# points 3.7 s at 98 MB (2-vCPU Xeon; the all-exact sweep, timed alongside,
-# took 46.8 s and 6.1 s); x:3,9,9 (3432 points) fits.  Labels stay
-# below it, under 2**15, so the int64 kernel keeps them in int16 arrays.
+# 4096 random 60-bit points took 8.5 s CPU at 281 MB peak RSS (the
+# sort-and-sweep they replaced, timed alongside: 13.7 s at 273 MB), and of
+# 4096 points in convex position, (k * 2**40, k**2), where cup labels reach
+# 4095 and each point's threshold list grows with its index, 7.0 s at 622
+# MB (6.7 s at 499 MB); one process each, 2-vCPU Xeon.  x:3,9,9 (3432
+# points) fits.  Labels stay below it, under 2**15, so the int64 kernel
+# keeps them in int16 arrays.
 # Its tables of 4096 random 20-bit points took 3.4 s and peak at 337 MB,
 # while the cap table's array is turned into a list next to the finished
 # cup list.
@@ -121,68 +133,144 @@ def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
 # for caps.  Both are >= 1 for every pair.
 
 
+def _slope(dy: int, dx: int) -> float:
+    """dy / dx for dx > 0, with a quotient too large for a float rounded
+    to its signed infinity, as IEEE division rounds it."""
+    try:
+        return dy / dx
+    except OverflowError:
+        return math.inf if dy > 0 else -math.inf
+
+
+def _file(lo: list, hi: list, s, a: int, b: int) -> None:
+    """File slope s under cup label a in ``lo`` and cap label b in ``hi``.
+
+    ``lo[v]`` is the least slope filed under a label >= v, so it never
+    decreases with v, and ``lo[0]`` is ``-inf``; ``hi[v]`` is the greatest,
+    never increasing, and ``hi[0]`` is ``inf``.  Filing lowers ``lo`` from
+    a down to the first entry at or below s, and raises ``hi`` from b
+    down likewise; entry 0 stops both walks."""
+    while s < lo[a]:
+        lo[a] = s
+        a -= 1
+    while s > hi[b]:
+        hi[b] = s
+        b -= 1
+
+
+def _exact_thresholds(coords: Sequence[tuple[int, int]], i: int, X, Y,
+                      scale: int, width_x: int, width_y: int):
+    """Anchor i's thresholds on the exact slope keys of its predecessors,
+    filed under the labels in column i of the finished rows of X and Y, on
+    lists as long as the anchor's float ones."""
+    inf = math.inf
+    xi, yi = coords[i]
+    lo = [-inf] + [inf] * (width_x - 1)
+    hi = [inf] + [-inf] * (width_y - 1)
+    for (x, y), cup, cap in zip(coords[:i], X, Y):
+        _file(lo, hi, (yi - y) * scale // (xi - x), cup[i], cap[i])
+    return lo, hi
+
+
 def _label_tables_python(coords: Sequence[tuple[int, int]]):
     """Cup table X, cap table Y, and whether three points are collinear.
 
-    A collinear triple h < i < j has equal exact slopes into and out of i,
-    so equal floats there, and anchor i takes the exact keys; equal exact
-    keys among its predecessors and successors find it."""
+    A push-forward sweep.  For h < i < j the triple (h, i, j) turns LEFT
+    exactly when slope(i, j) > slope(h, i), so X[i][j] is one more than the
+    largest X[h][i] with slope(h, i) < slope(i, j), and Y mirrors with >.
+    Each point j keeps two threshold lists (``_file``): ``low[j][v]``, the
+    least float slope of a predecessor with cup label >= v, and
+    ``high[j][v]``, the greatest with cap label >= v.  The anchors to its
+    left fill them in as they label their pairs with it, so when anchor i
+    comes up, its lists are complete, and bisection on them labels every
+    successor: X[i][j] = #{v: low[i][v] < s} and Y[i][j] = #{v: high[i][v]
+    > s}, both counting entry 0.  So each pair is divided once, and no
+    anchor sorts.
+
+    A float comparison decides exactly unless the successor's float equals
+    a threshold's (module docstring).  Such a tied successor takes its
+    labels from its exact key and the anchor's exact thresholds, and its
+    slope is filed again under them.  Its first filing was under labels no
+    larger, so the lists end as the second filing alone would leave them.
+    A collinear triple shows as two equal float slopes from its leftmost
+    point, where exact keys decide."""
     n = len(coords)
-    scale = slope_scale(coords)
+    inf = math.inf
     X = [[1] * n for _ in range(n)]
     Y = [[1] * n for _ in range(n)]
     collinear = False
-    for i in range(1, n - 1):
-        xi, yi = coords[i]
-        before, after = coords[:i], coords[i + 1:]
-        # For h < i < j the triple (h, i, j) turns LEFT exactly when
-        # slope(i, j) > slope(h, i), RIGHT when <.  The sweeps compare only
-        # a predecessor's key with a successor's, so float keys decide
-        # every turn unless such a pair has equal floats or a division
-        # overflows (module docstring); then this anchor takes the exact
-        # keys.  Equal floats among predecessors or successors alone do not.
+    scale = 0
+    # the last point starts no pair
+    for i, (xi, yi) in enumerate(coords[:-1]):
+        after = coords[i + 1:]
         try:
-            pk = [(yi - y) / (xi - x) for x, y in before]
             sk = [(y - yi) / (x - xi) for x, y in after]
         except OverflowError:
-            exact = True
+            sk = [_slope(y - yi, x - xi) for x, y in after]
+        distinct = sk if collinear else set(sk)
+        if len(distinct) < len(sk):
+            scale = scale or slope_scale(coords)
+            keys = [(y - yi) * scale // (x - xi) for x, y in after]
+            collinear = len(set(keys)) < len(keys)
+        if not i:
+            # no predecessors: every label is 1.  The last entry of each
+            # list is a free top slot.
+            low = [None] + [[-inf, s, inf] for s in sk]
+            high = [None] + [[inf, s, -inf] for s in sk]
+            continue
+        T, U = low[i], high[i]
+        low[i] = high[i] = None
+        if collinear:
+            tied = not {*T, *U}.isdisjoint(sk)
         else:
-            exact = not set(sk).isdisjoint(pk)
-        if exact:
-            pk = [(yi - y) * scale // (xi - x) for x, y in before]
-            sk = [(y - yi) * scale // (x - xi) for x, y in after]
-            collinear = collinear or not set(sk).isdisjoint(pk)
-        preds = sorted(range(i), key=pk.__getitem__)
-        succs = sorted(range(n - 1 - i), key=sk.__getitem__)
-        Xi = X[i]
-        Yi = Y[i]
-        # cups: sweep successors by increasing slope, growing the strict
-        # prefix of predecessors with smaller slope.
-        ptr, run = 0, 0
-        for s in succs:
-            slope = sk[s]
-            while ptr < i and pk[preds[ptr]] < slope:
-                v = X[preds[ptr]][i]
-                if v > run:  # not max(): a call per step costs a fifth
-                    run = v
-                ptr += 1
-            Xi[i + 1 + s] = run + 1
-        # caps: mirror sweep with decreasing slope.
-        ptr, run = i - 1, 0
-        for s in reversed(succs):
-            slope = sk[s]
-            while ptr >= 0 and pk[preds[ptr]] > slope:
-                v = Y[preds[ptr]][i]
-                if v > run:
-                    run = v
-                ptr -= 1
-            Yi[i + 1 + s] = run + 1
+            tied = not (distinct.isdisjoint(T) and distinct.isdisjoint(U))
+        # a label one past the top slot needs a new slot on every later list
+        if T[-1] != inf:
+            for lst in low[i + 1:]:
+                lst.append(inf)
+        if U[-1] != -inf:
+            for lst in high[i + 1:]:
+                lst.append(-inf)
+        R = U[::-1]  # ascending, for bisection
+        k = len(R)
+        Xi, Yi = X[i], Y[i]
+        for j, s, lo, hi in zip(range(i + 1, n), sk, low[i + 1:],
+                                high[i + 1:]):
+            a = Xi[j] = bisect_left(T, s)
+            b = Yi[j] = k - bisect_right(R, s)
+            while s < lo[a]:  # _file, inline
+                lo[a] = s
+                a -= 1
+            while s > hi[b]:
+                hi[b] = s
+                b -= 1
+        if tied:
+            scale = scale or slope_scale(coords)
+            ties = {*T, *U}
+            T, U = _exact_thresholds(coords, i, X, Y, scale, len(T), len(U))
+            R = U[::-1]
+            for j, s in enumerate(sk, i + 1):
+                if s not in ties:
+                    continue
+                x, y = coords[j]
+                q = (y - yi) * scale // (x - xi)
+                a = Xi[j] = bisect_left(T, q)
+                b = Yi[j] = k - bisect_right(R, q)
+                lo, hi = low[j], high[j]
+                if a == len(lo):  # only past a top slot holding inf
+                    for lst in low[i + 1:]:
+                        lst.append(inf)
+                if b == len(hi):
+                    for lst in high[i + 1:]:
+                        lst.append(-inf)
+                _file(lo, hi, s, a, b)
     return X, Y, collinear
 
 
 def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
-    """The int64 kernel of ``_label_tables``: the sweep of
-    ``_label_tables_python``, vectorized per anchor, on float64 slopes.
+    """The int64 kernel of ``_label_tables``: a sort-and-sweep per anchor
+    (predecessors sorted by slope, prefix maxima of their labels),
+    vectorized, on float64 slopes.
 
     The float slopes order exactly except among equal floats (see the
     module docstring).  A successor whose float slope equals some

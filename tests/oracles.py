@@ -6,13 +6,15 @@ geometry is recomputed here from raw cross products over Fractions, and
 maxima are found by exhaustive subset enumeration.  Only usable at oracle
 scale.
 
-The references (``exact_label_tables``, ``exact_max_collinear``) are the
-library's algorithms with every slope compared by its exact integer key and
-no float filter, so they return the same tables and witnesses, tie-breaks
-included, at any size.  ``ref_combine_flat``, ``ref_build_free_set`` and
-``ref_build_convex_free`` are the constructions placed in ``Fraction``
-coordinates, scale by scale, as the library's integer-pair builders must
-reproduce them point for point.
+The references (``exact_label_tables``, ``exact_max_collinear``) compare
+every slope by its exact integer key, with no float filter, and return the
+library's tables and witnesses, tie-breaks included, at any size:
+``exact_max_collinear`` is the library's anchor scan, and
+``exact_label_tables`` the sort-and-sweep that the pure-Python tables ran
+before their push-forward sweep.  ``ref_combine_flat``,
+``ref_build_free_set`` and ``ref_build_convex_free`` are the constructions
+placed in ``Fraction`` coordinates, scale by scale, as the library's
+integer-pair builders must reproduce them point for point.
 """
 
 from fractions import Fraction
@@ -111,8 +113,10 @@ def brute_max_collinear(pts) -> int:
 
 
 def exact_label_tables(coords):
-    """The cup/cap label tables of integer coords in increasing x, as
-    ``extremal._label_tables_python`` builds them, with exact keys only."""
+    """The cup/cap label tables of integer coords in increasing x, by a
+    sort-and-sweep per anchor on exact keys only: the algorithm the
+    pure-Python tables used before their push-forward sweep, kept as an
+    independent reference for ``extremal._label_tables_python``."""
     n = len(coords)
     scale = slope_scale(coords)
     X = [[1] * n for _ in range(n)]

@@ -216,6 +216,24 @@ class TestMatchesFractionReference:
             combine_flat(PointSet.of([(0, 0), (0, 1)]),
                          PointSet.of([(3, 2)]))
 
+    def test_one_placement_is_checked(self, monkeypatch):
+        # the analytic scale separates parts with distinct x, so a part
+        # with a vertical hull pair fails on its first and only check
+        calls = []
+
+        def counted(hu, hl, want_sign):
+            calls.append(want_sign)
+            return _int_hulls_side(hu, hl, want_sign)
+
+        monkeypatch.setattr("cupcap.constructions._int_hulls_side", counted)
+        with pytest.raises(ConstructionError, match="equal x"):
+            combine_flat(PointSet.of([(0, 0), (1, 5)]),
+                         PointSet.of([(3, 2), (3, 4)]))
+        assert calls == [1, -1]
+        calls.clear()
+        build_free_set(4, 6, 6)
+        assert len(calls) == 2 * 9  # one combine per (m, n) in 4..6
+
 
 class TestBuildFreeSet:
     def test_3_4_4(self):

@@ -385,6 +385,78 @@ class TestCollinearFlag:
         assert scans == [5, 5]
 
 
+class TestPushForwardKernel:
+    """``_label_tables_python`` against the all-exact sort-and-sweep
+    (``oracles.exact_label_tables``) and its collinear flag against
+    ``oracles.exact_max_collinear``, forward and reflected."""
+
+    @staticmethod
+    def check(coords):
+        reflected = [(-x, y) for x, y in reversed(coords)]
+        expected = len(oracles.exact_max_collinear(PointSet.of(coords))) >= 3
+        for c in (coords, reflected):
+            X, Y, collinear = _label_tables_python(c)
+            assert (X, Y) == oracles.exact_label_tables(c)
+            assert collinear is expected
+        return expected
+
+    def test_small_grids(self):
+        # spans 4-30 with up to span points: many collinear triples
+        rng = random.Random(2201)
+        seen = set()
+        for _ in range(60):
+            span = rng.randrange(4, 31)
+            ps = random_point_set(rng, rng.randrange(3, min(span, 24) + 1),
+                                  span=span)
+            seen.add(self.check(int_coords(sorted(ps, key=lambda p: p.x))))
+        assert seen == {False, True}
+
+    def test_near_ties_at_2_80(self):
+        # a small grid stretched by about 2**80 per axis and moved by at
+        # most 3: neighbouring slopes share a float but differ exactly
+        rng = random.Random(80)
+        ties = 0
+        for _ in range(40):
+            s, t = (rng.randrange(1 << 80, 1 << 81) for _ in "st")
+            pts = {x * s + rng.randrange(-3, 4): y * t + rng.randrange(-3, 4)
+                   for x in rng.sample(range(-12, 12), rng.randrange(3, 16))
+                   for y in [rng.randrange(-12, 12)]}
+            coords = sorted(pts.items())
+            slopes = [(y - y0) / (x - x0) for (x0, y0), (x, y)
+                      in zip(coords, coords[1:])]
+            ties += len(set(slopes)) < len(slopes)
+            self.check(coords)
+        assert ties
+
+    def test_slopes_overflowing_both_ways(self):
+        # dx of 1 to 3 under dy of about +-2**1030: quotients past the
+        # float range, which the kernel takes as +inf and -inf
+        rng = random.Random(1030)
+        for _ in range(30):
+            big = [rng.choice((-1, 1)) * rng.randrange(1 << 1030, 1 << 1031)
+                   for _ in range(rng.randrange(2, 8))]
+            ys = big + [rng.randrange(-9, 10) for _ in range(8)]
+            rng.shuffle(ys)
+            coords = [(2 * x + rng.randrange(2), y) for x, y in enumerate(ys)]
+            self.check(coords)
+        coords = [(0, 0), (1, 1 << 1030), (2, -(1 << 1030)), (3, 0)]
+        for (x0, y0), (x1, y1) in ((coords[0], coords[1]),
+                                   (coords[1], coords[2])):
+            with pytest.raises(OverflowError):
+                (y1 - y0) / (x1 - x0)
+        assert extremal._slope(1 << 1030, 1) == float("inf")
+        assert extremal._slope(-(1 << 1030), 1) == float("-inf")
+        self.check(coords)
+
+    def test_convex_parabola(self):
+        # every earlier point extends the cup: labels reach n - 1
+        n = 60
+        coords = [(x << 40, x * x) for x in range(n)]
+        X, Y, collinear = _label_tables_python(coords)
+        assert X[n - 2][n - 1] == n - 1 and max(map(max, Y)) == 1
+        assert not self.check(coords)
+
+
 class TestMaxConvexSubset:
     def test_grid_is_six(self):
         # oracle-computed over all 2^9 subsets
