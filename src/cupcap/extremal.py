@@ -66,22 +66,25 @@ from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 # int64 path only there, and the pure-Python path of Python ints above.
 # Results are identical.
 _INT64_COORD_LIMIT = 1 << 30
-# Below this size the int64 kernels do not pay for numpy's dispatch.  On
-# 20-bit random sets (40 sets a size, median of 15 interleaved runs, 2-vCPU
-# Xeon, numpy 2.4.6) the push-forward Python tables took 0.58 of the int64
-# tables' time at 32 points, 0.67 at 38, 0.78 at 40 and 0.88 at 48, so the
-# break-even now lies above 48.  Raising the value moves sets between
-# paths, which needs its own measured pairs.  It also gates ``max_collinear``'s int64 prefilter, which pays off
-# sooner: on 20-bit general-position sets it took 0.05 ms a set against
-# the per-anchor set test's 0.07 at 20 points, 0.08 against 0.27 at 38 and
-# 1.5 against 9.3 at 253 (20 sets a size, median of 7 runs, numpy loaded).
+# The size from which the label tables and ``max_collinear``'s prefilter
+# take their int64 kernels.  For the tables this is below the break-even:
+# on 20-bit random sets (40 sets a size, median of 15 interleaved runs,
+# 2-vCPU Xeon, numpy 2.4.6) the push-forward Python tables took 0.58 of the
+# int64 tables' time at 32 points, 0.67 at 38, 0.78 at 40 and 0.88 at 48,
+# so sets of 38 to at least 48 points take the slower path.  It stays at
+# 38 because a move sends sets to the other path, which needs its own
+# measured benchmark pairs (ROADMAP, "Smaller fixes").  The prefilter pays
+# off sooner: on 20-bit general-position sets it took 0.05 ms a set
+# against the per-anchor set test's 0.07 at 20 points, 0.08 against 0.27
+# at 38 and 1.5 against 9.3 at 253 (20 sets a size, median of 7 runs,
+# numpy loaded).
 _NUMPY_MIN_POINTS = 38
 # Most points the label tables are built for.  Both pure-Python tables of
-# 4096 random 60-bit points took 8.5 s CPU at 281 MB peak RSS (the
-# sort-and-sweep they replaced, timed alongside: 13.7 s at 273 MB), and of
+# 4096 random 60-bit points took 7.7 s CPU at 279 MB peak RSS (the
+# sort-and-sweep they replaced, timed alongside: 14.2 s at 273 MB), and of
 # 4096 points in convex position, (k * 2**40, k**2), where cup labels reach
-# 4095 and each point's threshold list grows with its index, 7.0 s at 622
-# MB (6.7 s at 499 MB); one process each, 2-vCPU Xeon.  x:3,9,9 (3432
+# 4095 and each point's threshold list grows with its index, 7.2 s at 586
+# MB (7.1 s at 499 MB); one process each, 2-vCPU Xeon.  x:3,9,9 (3432
 # points) fits.  Labels stay below it, under 2**15, so the int64 kernel
 # keeps them in int16 arrays.
 # Its tables of 4096 random 20-bit points took 3.4 s and peak at 337 MB,
@@ -158,6 +161,14 @@ def _file(lo: list, hi: list, s, a: int, b: int) -> None:
         b -= 1
 
 
+def _grow(lists: list, free: float) -> None:
+    """Add a free top slot to each of ``lists``, the threshold lists of
+    the points not yet anchored.  They share one length, so a label one
+    past that top slot can be filed in any of them."""
+    for lst in lists:
+        lst.append(free)
+
+
 def _exact_thresholds(coords: Sequence[tuple[int, int]], i: int, X, Y,
                       scale: int, width_x: int, width_y: int):
     """Anchor i's thresholds on the exact slope keys of its predecessors,
@@ -193,15 +204,24 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
     slope is filed again under them.  Its first filing was under labels no
     larger, so the lists end as the second filing alone would leave them.
     A collinear triple shows as two equal float slopes from its leftmost
-    point, where exact keys decide."""
+    point, where exact keys decide.
+
+    Row i of the tables is made when anchor i comes up, after the last
+    anchor's temporaries are dropped.  So the row objects take the slots of
+    finished points' threshold lists, and the rows take the temporaries'
+    place, instead of both adding to the memory the lists and temporaries
+    leave behind."""
     n = len(coords)
     inf = math.inf
-    X = [[1] * n for _ in range(n)]
-    Y = [[1] * n for _ in range(n)]
+    X = [None] * n
+    Y = [None] * n
     collinear = False
     scale = 0
     # the last point starts no pair
     for i, (xi, yi) in enumerate(coords[:-1]):
+        after = sk = distinct = T = U = None
+        Xi = X[i] = [1] * n
+        Yi = Y[i] = [1] * n
         after = coords[i + 1:]
         try:
             sk = [(y - yi) / (x - xi) for x, y in after]
@@ -224,16 +244,13 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
             tied = not {*T, *U}.isdisjoint(sk)
         else:
             tied = not (distinct.isdisjoint(T) and distinct.isdisjoint(U))
-        # a label one past the top slot needs a new slot on every later list
+        # a label one past a filled top slot needs a new one
         if T[-1] != inf:
-            for lst in low[i + 1:]:
-                lst.append(inf)
+            _grow(low[i + 1:], inf)
         if U[-1] != -inf:
-            for lst in high[i + 1:]:
-                lst.append(-inf)
+            _grow(high[i + 1:], -inf)
         R = U[::-1]  # ascending, for bisection
         k = len(R)
-        Xi, Yi = X[i], Y[i]
         for j, s, lo, hi in zip(range(i + 1, n), sk, low[i + 1:],
                                 high[i + 1:]):
             a = Xi[j] = bisect_left(T, s)
@@ -256,14 +273,16 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
                 q = (y - yi) * scale // (x - xi)
                 a = Xi[j] = bisect_left(T, q)
                 b = Yi[j] = k - bisect_right(R, q)
-                lo, hi = low[j], high[j]
-                if a == len(lo):  # only past a top slot holding inf
-                    for lst in low[i + 1:]:
-                        lst.append(inf)
-                if b == len(hi):
-                    for lst in high[i + 1:]:
-                        lst.append(-inf)
-                _file(lo, hi, s, a, b)
+                # the exact top slot may be filled where the float one
+                # is not
+                if a == len(low[j]):
+                    _grow(low[i + 1:], inf)
+                if b == len(high[j]):
+                    _grow(high[i + 1:], -inf)
+                _file(low[j], high[j], s, a, b)
+    if n:
+        X[-1] = [1] * n
+        Y[-1] = [1] * n
     return X, Y, collinear
 
 
