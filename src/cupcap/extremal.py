@@ -886,7 +886,7 @@ def _chain_backward(coords, table, i: int, j: int, sign: int) -> list[int]:
     """A maximum chain ending at the pair (i, j), walked backward greedily
     through a pair table of chain lengths ending at each pair: the cup/cap
     label tables, ``max_convex_subset``'s polygon table in fan order, or
-    ``relative._relative_chain_dp``'s table in radial order.
+    either table of ``relative._relative_chains`` in radial order.
 
     Each step takes the smallest h that turns ``sign`` at (h, i, j) and
     holds one less than (i, j); the walk stops at a pair holding 1.

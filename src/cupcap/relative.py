@@ -17,10 +17,10 @@ All predicates are exact.  Each radial-order call (``radial_order``, the
 inner-cap / outer-cup chains and ``cell_profile``'s chains) normalises the
 points and the body once, with ``int_coords``, and finds the separating
 axis, the tangent order and the chain DP's turn signs on that one integer
-array (``_radial``, ``_relative_chain_dp``).  The chain DP fills a pair
-table of edge counts, as the cup/cap label tables do, and
-``extremal._max_label_pair`` and ``extremal._chain_backward`` read its
-witness out of it.  Support regions are turn signs against a cup's or
+array (``_radial``, ``_relative_chains``).  One pass fills the inner-cap
+and outer-cup pair tables of edge counts, as the cup/cap label tables
+give both, and ``extremal._max_label_pair`` and ``_chain_backward`` read
+witnesses out of them.  Support regions are turn signs against a cup's or
 cap's edges on one such array, as bitmasks on Python ints: each edge
 line gives the points strictly left and strictly right of it
 (``_side_masks``), and each region is the AND of three of those
@@ -264,10 +264,12 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
     candidate (ties to the first found).  Deterministic given the seed.
     Raises if ``budget`` is below 1 or no k-cup or k-cap turns up at all.
 
-    Each sample memoizes the side masks of every edge line its candidates
-    use, so a sample of m points computes them for at most C(m, 2) lines,
-    two n-bit ints a line (66 lines for the 12-point samples of k <= 6),
-    and the memo is dropped with its sample.
+    Samples of m = min(n, max(12, 2k)) points are drawn lazily up to the
+    budget-th chain, at most max(8, budget) of them, or one when m = n: a
+    repeat of the whole set is never strictly better.  Each memoizes the
+    side masks of every edge line its candidates use, at most C(m, 2)
+    lines, two n-bit ints a line (66 lines for the 12-point samples of
+    k <= 6), and the memo is dropped with its sample.
     """
     n = len(p)
     if k < 4:
@@ -280,11 +282,9 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
 
     rng = random.Random(seed)
     sample_size = min(n, max(12, 2 * k))
-    # at most max(8, budget) samples, drawn lazily up to the budget-th chain,
-    # each with a fresh memo of side masks
     samples = ((sorted(rng.sample(range(n), sample_size)),
                 functools.cache(functools.partial(_side_masks, coords)))
-               for _ in range(max(8, budget)))
+               for _ in range(1 if sample_size == n else max(8, budget)))
     chains = ((combo, s, sides) for sample, sides in samples
               for combo in itertools.combinations(sample, k)
               if (s := _chain_sign(coords, combo)))
@@ -373,7 +373,11 @@ def transversal_check(p: PointSet, x: PointSet, sample_budget: int,
 
 def _line_misses(a: tuple[int, int], b: tuple[int, int],
                  body: Sequence[tuple[int, int]]) -> bool:
-    """Whether all body vertices lie strictly on one side of line ab."""
+    """Whether all body vertices lie strictly on one side of line ab: for a
+    and b strictly separated from the body K, whether they are mutually
+    separable.  If the line misses K, conv(K + b) meets it only in b; if it
+    meets K, it does so outside the segment ab, so one point lies between
+    the other and K."""
     side = int_cross(a, b, body[0])
     return all(int_cross(a, b, v) * side > 0 for v in body)
 
@@ -474,33 +478,28 @@ def classify_triple(body: ConvexBody, p: Point, q: Point,
         "separation/avoidance preconditions are violated")
 
 
-def _relative_chain_dp(order: Sequence[int],
-                       coords: Sequence[tuple[int, int]],
-                       verts: Sequence[tuple[int, int]], sign: int,
-                       pair_ok: Optional[Callable[[int, int], bool]] = None
-                       ) -> list[int]:
-    """Longest chain in radial order whose pairs are mutually separable and
-    whose consecutive triples turn with ``sign`` (-1: inner-cap, +1:
-    outer-cup), by the cup/cap pair DP; optionally restricted to index
-    pairs passing ``pair_ok``.  Takes and returns indices into the input,
-    as ``_radial`` gives them; one point when no pair qualifies.
+def _relative_chains(order: Sequence[int],
+                     coords: Sequence[tuple[int, int]],
+                     pair_ok: Optional[Callable[[int, int], bool]] = None):
+    """The longest inner-cap and outer-cup in radial order, and the tables of
+    the one cup/cap pair DP pass that finds both.  Only pairs passing
+    ``pair_ok`` (all when it is None) chain; the caller keeps them mutually
+    separable (``_line_misses``).  Indices are into the input, as
+    ``_radial`` gives them; a chain is one point when no pair qualifies.
 
-    The DP fills T[j][k], for radial positions j < k, with the edge count
-    of the longest chain ending at the pair: 0 when the pair fails, else 1
-    extended by every i < j with T[i][j] >= T[j][k] that turns ``sign`` at
-    (i, j, k).  The witness ends at the first pair in (j, k) order that
-    holds the maximum (``_max_label_pair``), and ``_chain_backward`` walks
-    it back through the smallest i that reaches each value, the parent the
-    DP keeps.
+    The pass fills I[j][k] and O[j][k], for radial positions j < k, with
+    the edge count of the longest inner-cap and outer-cup ending at the
+    pair: 0 when the pair fails, else 1 extended by every i < j with
+    I[i][j] >= I[j][k] that turns right at (i, j, k) (O: left); it tests a
+    turn at most once.  A witness ends at the first pair in (j, k) order
+    holding its maximum (``_max_label_pair``); ``_chain_backward`` walks it
+    back through the smallest i reaching each value, the DP's parent.
 
-    Both predicates are integer turn signs, exact because a line strictly
-    separates P from the body K (``_radial`` checks it).  (i) A pair is
-    mutually separable iff its line misses K: if it misses, conv(K + q)
-    meets it only in q; if it meets K, it does so outside the segment pq
-    (which lies in conv P), so one point lies between the other and K.
-    (ii) Let a, b, c come in radial order, lines ab and bc missing K, so
-    K lies strictly right of a->b and b->c.  A right turn puts c right of
-    a->b and a right of b->c, so conv(K + b + c) meets ab only in b,
+    The turns are exact integer signs, and they decide the triples because
+    a line strictly separates P from the body K (``_radial`` checks it).
+    Let a, b, c come in radial order, lines ab and bc missing K, so K lies
+    strictly right of a->b and b->c.  A right turn puts c right of a->b
+    and a right of b->c, so conv(K + b + c) meets ab only in b,
     conv(K + a + b) meets bc only in b and conv(K + a + c) meets ab only
     in a: an inner-cap.  A left turn puts K in the open cone at b spanned
     by b - a and b - c, so b is in the triangle (z, a, c) for
@@ -513,31 +512,37 @@ def _relative_chain_dp(order: Sequence[int],
     if n == 0:
         raise ValueError("empty point set")
     c = [coords[i] for i in order]
-    T = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k):
-            if (pair_ok is None or pair_ok(order[j], order[k])) and \
-                    _line_misses(c[j], c[k], verts):
-                t = 1
-                for i in range(j):
-                    if T[i][j] >= t and int_cross(c[i], c[j], c[k]) * sign > 0:
-                        t = T[i][j] + 1
-                T[j][k] = t
-    _, best_pair = _max_label_pair(T, n)
-    if best_pair is None:
-        return [order[0]]
-    return [order[i] for i in _chain_backward(c, T, *best_pair, sign)]
+    inner, outer = ([[0] * n for _ in range(n)] for _ in range(2))
+    for j in range(n):
+        into = [(inner[i][j], outer[i][j], c[i]) for i in range(j)
+                if inner[i][j]]
+        for k in range(j + 1, n):
+            if pair_ok is None or pair_ok(order[j], order[k]):
+                ti = to = 1
+                for a, b, ci in into:
+                    if a >= ti or b >= to:
+                        turn = int_cross(ci, c[j], c[k])
+                        ti = a + 1 if turn < 0 and a >= ti else ti
+                        to = b + 1 if turn > 0 and b >= to else to
+                inner[j][k], outer[j][k] = ti, to
+
+    def witness(table: list[list[int]], sign: int) -> list[int]:
+        _, end = _max_label_pair(table, n)
+        chain = _chain_backward(c, table, *end, sign) if end else [0]
+        return [order[i] for i in chain]
+
+    return witness(inner, -1), witness(outer, 1), inner, outer
 
 
 def longest_inner_cap(p: PointSet, body: ConvexBody) -> StructureWitness:
     """Maximum inner-cap with respect to the body, via the radial pair DP."""
-    chain = _relative_chain_dp(*_strict_radial(p, body), -1)
+    chain = _relative_chains(*_strict_radial(p, body)[:2])[0]
     return StructureWitness(WitnessKind.INNER_CAP,
                             PointSet(p[i] for i in chain))
 
 
 def longest_outer_cup(p: PointSet, body: ConvexBody) -> StructureWitness:
-    chain = _relative_chain_dp(*_strict_radial(p, body), 1)
+    chain = _relative_chains(*_strict_radial(p, body)[:2])[1]
     return StructureWitness(WitnessKind.OUTER_CUP,
                             PointSet(p[i] for i in chain))
 
@@ -717,18 +722,16 @@ def cell_profile(p: PointSet, left: Point, right: Point,
                  base: ConvexBody) -> CellProfile:
     instance = conv_order(p, base)
     dw = dilworth(instance)
+    rel = instance.relation
 
-    def comparable(i: int, j: int) -> bool:
-        return instance.less_idx(i, j) or instance.less_idx(j, i)
+    def chains(body: ConvexBody, comparable: bool):
+        # pairs mutually separable and (in)comparable in the conv order
+        order, c, verts = _radial(p, body)
+        return _relative_chains(order, c, lambda i, j: (
+            ((i, j) in rel or (j, i) in rel) == comparable
+            and _line_misses(c[i], c[j], verts)))
 
-    def incomparable(i: int, j: int) -> bool:
-        return not comparable(i, j)
-
-    a = len(_relative_chain_dp(*_radial(p, ConvexBody.point(right)), -1,
-                               comparable))
-    b = len(_relative_chain_dp(*_radial(p, ConvexBody.point(left)), -1,
-                               comparable))
-    around_base = _radial(p, base)
-    w = len(_relative_chain_dp(*around_base, -1, incomparable))
-    z = len(_relative_chain_dp(*around_base, 1, incomparable))
+    a = len(chains(ConvexBody.point(right), True)[0])
+    b = len(chains(ConvexBody.point(left), True)[0])
+    w, z = map(len, chains(base, False)[:2])
     return CellProfile(h=dw.h, v=dw.v, a=a, b=b, w=w, z=z)

@@ -11,7 +11,8 @@ every slope by its exact integer key, with no float filter, and return the
 library's tables and witnesses, tie-breaks included, at any size:
 ``exact_max_collinear`` is the library's anchor scan, and
 ``exact_label_tables`` the sort-and-sweep that the pure-Python tables ran
-before their push-forward sweep.  ``ref_combine_flat``,
+before their push-forward sweep.  ``relative_chain_dp`` is the relative
+chain DP one turn sign at a time, testing each pair's line itself.  ``ref_combine_flat``,
 ``ref_build_free_set`` and ``ref_build_convex_free`` are the constructions
 placed in ``Fraction`` coordinates, scale by scale, as the library's
 integer-pair builders must reproduce them point for point.
@@ -25,8 +26,10 @@ from typing import Optional
 from cupcap.bounds import free_set_size_bound
 from cupcap.constructions import (_MAX_ADAPT_ATTEMPTS, _int_hulls_side,
                                   _largest_remainder)
+from cupcap.extremal import _chain_backward, _max_label_pair
 from cupcap.geom import Point, PointSet, int_coords, int_cross, int_hull, \
     slope_scale
+from cupcap.relative import _line_misses
 
 
 def cross(o, a, b):
@@ -362,6 +365,30 @@ def is_outer_cup(sub, body_vertices) -> bool:
         if _hulls_meet([x] + list(body_vertices), rest):
             return False
     return True
+
+
+def relative_chain_dp(order, coords, verts, sign, pair_ok=None):
+    """The relative chain DP for one turn sign (-1: inner-cap, +1:
+    outer-cup), with its own line test: the per-sign triple loop that
+    ``relative._relative_chains`` replaced, kept as a reference for its
+    tables and witnesses.  Returns the pair table in radial positions and
+    the chain as indices into the input."""
+    n = len(order)
+    c = [coords[i] for i in order]
+    T = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k):
+            if (pair_ok is None or pair_ok(order[j], order[k])) and \
+                    _line_misses(c[j], c[k], verts):
+                t = 1
+                for i in range(j):
+                    if T[i][j] >= t and int_cross(c[i], c[j], c[k]) * sign > 0:
+                        t = T[i][j] + 1
+                T[j][k] = t
+    _, best_pair = _max_label_pair(T, n)
+    if best_pair is None:
+        return T, [order[0]]
+    return T, [order[i] for i in _chain_backward(c, T, *best_pair, sign)]
 
 
 def brute_largest_relative(pts, body_vertices, predicate) -> int:

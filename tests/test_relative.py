@@ -17,7 +17,9 @@ from cupcap import (AvoidanceError, ConvexBody, OrderViolation, Point,
                     transversal_check)
 from cupcap.geom import (convex_hull, cross_sign, int_coords,
                          point_in_convex_hull)
-from cupcap.relative import _line_misses, _radial, _relative_chain_dp
+from cupcap import relative
+from cupcap.relative import (_line_misses, _radial, _relative_chains,
+                             _strict_radial)
 
 import oracles
 from conftest import random_point_set
@@ -87,17 +89,54 @@ def make_separated_instance(rng, n, body_kind):
     return ps, body
 
 
+def lattice_instance(rng, n, kind, span, small):
+    """n lattice points of span ``span`` above the x-axis (so lines through
+    them hold several), and a body of the given kind strictly below them:
+    a large one on the integer grid, or a small one at a generic rational
+    position, which most lines through the points miss; or None."""
+    g = min(span, 8)
+    step = span // g
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randrange(-g, g + 1) * step,
+                 rng.randrange(1, g + 1) * step))
+    if small:
+        q, w = 1009, max(1, step * 1009 // 4)
+        x0, y0 = rng.randrange(-span * q, span * q), -2 * span * q
+        wx, wy = w, w
+    else:
+        q, x0, y0, wx, wy = 1, -span, -span, 2 * span + 1, span
+    corners = [pt(Fraction(x0 + rng.randrange(wx), q),
+                  Fraction(y0 + rng.randrange(wy), q))
+               for _ in range({"point": 1, "segment": 2}.get(kind, 5))]
+    if kind == "polygon":
+        if len(convex_hull(corners)) < 3:
+            return None, None
+        return PointSet.of(sorted(pts)), ConvexBody.polygon(corners)
+    if len(set(corners)) < len(corners):
+        return None, None
+    return PointSet.of(sorted(pts)), ConvexBody(tuple(corners))
+
+
 def relaxed_order(ps, body):
     """The radial order that needs only separation, as points."""
     return [ps[i] for i in _radial(ps, body)[0]]
 
 
+def relaxed_chains(pts, body, pair_ok):
+    """The relaxed inner-cap and outer-cup chains on ``pts``, over the
+    mutually separable pairs that pass a pair filter on points, as
+    points."""
+    order, c, verts = _radial(pts, body)
+    inner, outer, _, _ = _relative_chains(
+        order, c, lambda i, j: pair_ok(pts[i], pts[j])
+        and _line_misses(c[i], c[j], verts))
+    return [pts[i] for i in inner], [pts[i] for i in outer]
+
+
 def relaxed_chain(pts, body, pair_ok):
-    """The relaxed inner-cap chain DP on ``pts`` under a pair filter on
-    points, as points."""
-    chain = _relative_chain_dp(*_radial(pts, body), -1,
-                               lambda i, j: pair_ok(pts[i], pts[j]))
-    return [pts[i] for i in chain]
+    """The relaxed inner-cap chain, as points."""
+    return relaxed_chains(pts, body, pair_ok)[0]
 
 
 def mutually_separable(p, q, body):
@@ -326,6 +365,24 @@ class TestFindFatCap:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="search budget must be at least 1"):
             find_fat_cap(CAP4, 4, seed=0, budget=0)
+
+    def test_whole_set_is_sampled_once(self, monkeypatch):
+        # 12 points and k = 4 make every sample the whole set, so a huge
+        # budget still scores each of the C(12, 4) = 495 subsets once
+        calls = 0
+        chain_sign = relative._chain_sign
+
+        def counting_sign(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= 495, "the whole set was sampled again"
+            return chain_sign(*args)
+
+        monkeypatch.setattr(relative, "_chain_sign", counting_sign)
+        with pytest.raises(ValueError, match="no 4-cup or 4-cap"):
+            find_fat_cap(PointSet.of([(i, i) for i in range(12)]), 4,
+                         seed=0, budget=10**7)
+        assert calls == 495
 
     def test_outputs_pinned(self):
         """A sha256 over ``find_fat_cap``'s results and the members of each
@@ -712,12 +769,62 @@ class TestLongestRelativeChains:
             prof = cell_profile(ps, cells.LEFT, cells.RIGHT, cells.B)
             digest.update(repr(prof).encode())
             pin(relaxed_chain(ps, ConvexBody.point(cells.RIGHT), comparable))
-            for sign in (-1, 1):
-                pin(ps[i] for i in _relative_chain_dp(
-                    *_radial(ps, cells.B), sign,
-                    lambda i, j: not comparable(ps[i], ps[j])))
+            for chain in relaxed_chains(
+                    ps, cells.B, lambda p, q: not comparable(p, q)):
+                pin(chain)
         assert digest.hexdigest() == (
             "dc31b379bbb63092fd304edced51b890210da77df45dc88b5ffef3dfe60bf710")
+
+    def test_one_pass_matches_per_sign_reference(self):
+        """Both tables (upper triangles) and both chains of the one pass
+        against ``oracles.relative_chain_dp``, one turn sign at a time, on
+        ``lattice_instance``s of 3-30 points with spans from 5 to 2**40:
+        strict orders (pairs unfiltered) where avoidance holds, relaxed
+        orders through the line test on every instance, each also under
+        the conv order's comparable and incomparable filters."""
+        rng = random.Random(2323)
+        seen = set()
+        for trial in range(60):
+            kind = BODY_KINDS[trial % 3]
+            span = (5, 2**10, 2**40)[trial // 3 % 3]
+            ps, body = lattice_instance(rng, rng.randrange(3, 31), kind,
+                                        span, small=trial % 2 == 0)
+            if ps is None:
+                continue
+            inst = conv_order(ps, body)
+            filters = {
+                "none": None,
+                "comparable": lambda i, j: inst.less_idx(i, j)
+                or inst.less_idx(j, i),
+                "incomparable": lambda i, j: not inst.less_idx(i, j)
+                and not inst.less_idx(j, i)}
+            order, c, verts = _radial(ps, body)
+            try:
+                _strict_radial(ps, body)
+                modes = ("strict", "relaxed")
+            except AvoidanceError:
+                modes = ("relaxed",)
+            seen.add((kind, len(modes) == 2))
+            for mode in modes:
+                for name, keep in filters.items():
+                    if mode == "strict":
+                        pair_ok = keep
+                    else:
+                        def pair_ok(i, j, keep=keep):
+                            return (keep is None or keep(i, j)) \
+                                and _line_misses(c[i], c[j], verts)
+                    got = _relative_chains(order, c, pair_ok)
+                    for chain, table, sign in ((got[0], got[2], -1),
+                                               (got[1], got[3], 1)):
+                        ref_table, ref_chain = oracles.relative_chain_dp(
+                            order, c, verts, sign, keep)
+                        where = (list(ps), body, mode, name, sign)
+                        assert chain == ref_chain, where
+                        assert [row[j + 1:] for j, row in enumerate(table)] \
+                            == [row[j + 1:] for j, row in
+                                enumerate(ref_table)], where
+        # every body kind with avoidance holding and failing
+        assert seen == {(k, s) for k in BODY_KINDS for s in (True, False)}
 
     def test_levelwise_oracle_matches_plain_enumeration(self):
         rng = random.Random(23)
