@@ -72,18 +72,16 @@ def _run_value(key: str, text: str) -> int:
     return value
 
 
-def _jsonable(v):
+def _json_fraction(v):
+    """``json.dumps``'s default: a Fraction as an int or a "p/q" string."""
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=_json_fraction) + "\n"
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -100,10 +98,8 @@ def _parse_claim(text: str) -> tuple:
         nums = [int(p) for p in rest.split(",")]
     except ValueError:
         raise ValueError(f"malformed claim {text!r}") from None
-    if kind == "x" and len(nums) == 3:
-        return ("x", *nums)
-    if kind == "es" and len(nums) == 2:
-        return ("es", *nums)
+    if (kind, len(nums)) in (("x", 3), ("es", 2)):
+        return (kind, *nums)
     raise ValueError(f"malformed claim {text!r} (want x:L,M,N or es:L,N)")
 
 
@@ -161,30 +157,27 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
     ps = espts.load_file(args.infile)
     _check_convex_points(len(ps))  # before any table is built
     sheared = shear_distinct_x(ps)
-    cup = longest_cup(sheared) if len(ps) >= 2 else None
-    cap = longest_cap(sheared) if len(ps) >= 2 else None
-    coll = None
+    members = {}  # analyzer name -> witness
     if len(ps) >= 2:
+        members["longest_cup"] = longest_cup(sheared).members
+        members["longest_cap"] = longest_cap(sheared).members
         # a shear keeps lines, so the tables longest_cup built for the
         # sheared set say whether three points of ps are collinear; if none
         # are, max_collinear's run is the first two points in (x, y) order
-        coll = (max_collinear(ps).members
-                if _detection_tables(sheared, True).collinear
-                else _sorted_coords(ps)[0][:2])
-    convex = max_convex_subset(ps) if len(ps) >= 3 else None
+        members["max_collinear"] = (
+            max_collinear(ps).members
+            if _detection_tables(sheared, True).collinear
+            else _sorted_coords(ps)[0][:2])
+    if len(ps) >= 3:
+        members["max_convex_subset"] = max_convex_subset(ps).members
+    names = ("longest_cup", "longest_cap", "max_collinear",
+             "max_convex_subset")
     report = {
         "input_file": args.infile,
         "n_points": len(ps),
-        "longest_cup": len(cup) if cup else len(ps),
-        "longest_cap": len(cap) if cap else len(ps),
-        "max_collinear": len(coll) if coll else len(ps),
-        "max_convex_subset": len(convex) if convex else len(ps),
-        "witnesses": {
-            "longest_cup": _points_json(cup.members) if cup else [],
-            "longest_cap": _points_json(cap.members) if cap else [],
-            "max_collinear": _points_json(coll) if coll else [],
-            "max_convex_subset": _points_json(convex.members) if convex else [],
-        },
+        **{name: len(members.get(name, ps)) for name in names},
+        "witnesses": {name: _points_json(members.get(name, ()))
+                      for name in names},
     }
     if not missing:
         found = find_structure(sheared, args.l, args.m, args.n)
@@ -380,14 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args, cfg)
     except (OSError, ValueError) as exc:  # EsptsParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import free_set_size_bound
+from .bounds import convex_forcing_lower, free_set_size_bound
 from .extremal import (_check_convex_points, _detection_tables,
                        longest_cap_size, longest_cup_size, max_collinear,
                        max_convex_subset)
@@ -180,7 +180,7 @@ def build_base_cupfree(l: int, m: int) -> PointSet:
 def build_base_capfree(l: int, n: int) -> PointSet:
     """Mirror image: no l collinear points, no 3-cup, no n-cap."""
     if l < 3 or n < 3:
-        raise ValueError("l and m must be >= 3")
+        raise ValueError("l and n must be >= 3")
     return _point_set(_base_capfree(l, n))
 
 
@@ -378,11 +378,9 @@ def build_convex_free(l: int, n: int) -> PointSet:
     denominator, so each attempt only shifts the blocks' fixed integer
     shapes by their scaled anchors.
     """
-    if l < 3:
-        raise ValueError("l must be >= 3")
     if n < 6:
         raise ValueError("the arc assembly needs n >= 6")
-    target_total = (3 * l - 1) * 2 ** (n - 5)
+    target_total = int(convex_forcing_lower(l, n)) - 1
     _check_size(target_total)
     shapes = [(n, 3)] + [(n - 2 - i, 4 + i) for i in range(n - 5)] + [(3, n)]
     hs = [free_set_size_bound(l, mm, nn) for mm, nn in shapes]
@@ -434,12 +432,23 @@ def verify_construction(ps: PointSet, claim: tuple) -> ConstructionCertificate:
     """Run the analyzers on concrete coordinates and check a claim.
 
     ``claim`` is ``("x", l, m, n)`` for cup/cap/collinear-free sets or
-    ``("es", l, n)`` for convex-position-free sets.  Nothing from the
-    builders is trusted; every bound is recomputed from the points.
+    ``("es", l, n)`` for convex-position-free sets.  Before any table is
+    built, the size an x set must reach (``free_set_size_bound``) or an es
+    set must equal (``convex_forcing_lower - 1``) comes from ``bounds``, so
+    a parameter below 3, like an unknown kind, raises ``ValueError``.
+    Nothing from the builders is trusted; every bound is recomputed from
+    the points.
     """
-    kind = claim[0]
-    if kind == "es":
+    kind, l, *rest = claim
+    if kind == "x":
+        m, n = rest
+        size = free_set_size_bound(l, m, n)
+    elif kind == "es":
+        (n,) = rest
+        size = convex_forcing_lower(l, n) - 1
         _check_convex_points(len(ps))
+    else:
+        raise ValueError(f"unknown claim kind {kind!r}")
     if len(ps) < 2:
         cup = cap = coll = 1
     else:
@@ -449,23 +458,14 @@ def verify_construction(ps: PointSet, claim: tuple) -> ConstructionCertificate:
         cup, cap = longest_cup_size(ps), longest_cap_size(ps)
         coll = (len(max_collinear(ps))
                 if _detection_tables(ps, False).collinear else 2)
+    convex = None
     if kind == "x":
-        _, l, m, n = claim
-        no_coll = coll < l
-        passes = (no_coll and cup <= m - 1 and cap <= n - 1
-                  and len(ps) >= free_set_size_bound(l, m, n))
-        return ConstructionCertificate(
-            target=claim, size=len(ps), max_collinear_points=coll,
-            longest_cup_points=cup, longest_cap_points=cap,
-            max_convex_points=None, no_collinear_ell=no_coll, passes=passes)
-    if kind == "es":
-        _, l, n = claim
+        fits = cup < m and cap < n and len(ps) >= size
+    else:
         convex = len(max_convex_subset(ps)) if len(ps) >= 3 else len(ps)
-        no_coll = coll <= l - 1
-        expected = (3 * l - 1) * Fraction(2) ** (n - 5)
-        passes = (no_coll and convex <= n - 1 and len(ps) == expected)
-        return ConstructionCertificate(
-            target=claim, size=len(ps), max_collinear_points=coll,
-            longest_cup_points=cup, longest_cap_points=cap,
-            max_convex_points=convex, no_collinear_ell=no_coll, passes=passes)
-    raise ValueError(f"unknown claim kind {kind!r}")
+        fits = convex < n and len(ps) == size
+    return ConstructionCertificate(
+        target=claim, size=len(ps), max_collinear_points=coll,
+        longest_cup_points=cup, longest_cap_points=cap,
+        max_convex_points=convex, no_collinear_ell=coll < l,
+        passes=coll < l and fits)

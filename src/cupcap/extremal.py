@@ -55,6 +55,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional, Sequence
 
 from .geom import Point, PointSet, int_coords, int_cross, slope_scale
@@ -506,19 +507,20 @@ def _max_label_pair(table, size: int):
     return best, where
 
 
-def longest_cup_size(ps: PointSet) -> int:
-    """Point count of the longest cup (no witness extraction)."""
+def _longest_size(ps: PointSet, sign: int) -> int:
     if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    pts, _, X, _, _ = _detection_tables(ps, False)
-    return _max_label_pair(X, len(pts))[0] + 1
+    pts, _, X, Y, _ = _detection_tables(ps, False)
+    return _max_label_pair(X if sign > 0 else Y, len(pts))[0] + 1
+
+
+def longest_cup_size(ps: PointSet) -> int:
+    """Point count of the longest cup (no witness extraction)."""
+    return _longest_size(ps, 1)
 
 
 def longest_cap_size(ps: PointSet) -> int:
-    if len(ps) < 2:
-        raise ValueError("needs at least 2 points")
-    pts, _, _, Y, _ = _detection_tables(ps, False)
-    return _max_label_pair(Y, len(pts))[0] + 1
+    return _longest_size(ps, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -863,19 +865,9 @@ def enumerate_downsets(a: int, b: int) -> list[DownSet]:
     total = count_downsets(a, b)
     if total > 10**6:
         raise ValueError(f"{total} down-sets exceed the enumeration cap")
-    out: list[DownSet] = []
-
-    def rec(prefix: list[int], bound: int):
-        if len(prefix) == a:
-            out.append(DownSet(a, b, tuple(prefix)))
-            return
-        for v in range(bound, -1, -1):
-            prefix.append(v)
-            rec(prefix, v)
-            prefix.pop()
-
-    rec([], b)
-    return out
+    # non-increasing profiles, largest first
+    return [DownSet(a, b, profile) for profile in
+            combinations_with_replacement(range(b, -1, -1), a)]
 
 
 # ---------------------------------------------------------------------------

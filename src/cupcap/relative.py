@@ -43,8 +43,8 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .extremal import (StructureWitness, WitnessKind, _chain_backward,
-                       _chain_sign, _max_label_pair, _sorted_distinct_x,
-                       is_cap, is_cup)
+                       _chain_sign, _label_tables_python, _max_label_pair,
+                       _sorted_distinct_x, is_cap, is_cup)
 from .geom import (HalfPlane, Point, PointSet, convex_hull, cross_sign,
                    int_coords, int_cross, int_halfplanes, int_hull,
                    is_convex_position, point_in_convex_hull,
@@ -270,6 +270,10 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
     side masks of every edge line its candidates use, at most C(m, 2)
     lines, two n-bit ints a line (66 lines for the 12-point samples of
     k <= 6), and the memo is dropped with its sample.
+
+    A sample whose pure-Python label tables (numpy stays unloaded) hold no
+    label of k-1 edges has no k-chain, so none of its C(m, k) subsets is
+    tested; it is still drawn, so every result stays the same.
     """
     n = len(p)
     if k < 4:
@@ -280,12 +284,17 @@ def find_fat_cap(p: PointSet, k: int, seed: int,
         raise ValueError("not enough points")
     pts, coords = _sorted_distinct_x(p)
 
+    def holds_chain(sample) -> bool:
+        X, Y, _ = _label_tables_python([coords[i] for i in sample])
+        return max(map(max, X + Y)) >= k - 1
+
     rng = random.Random(seed)
     sample_size = min(n, max(12, 2 * k))
     samples = ((sorted(rng.sample(range(n), sample_size)),
                 functools.cache(functools.partial(_side_masks, coords)))
                for _ in range(1 if sample_size == n else max(8, budget)))
     chains = ((combo, s, sides) for sample, sides in samples
+              if holds_chain(sample)
               for combo in itertools.combinations(sample, k)
               if (s := _chain_sign(coords, combo)))
     best_idx: Optional[tuple[int, ...]] = None

@@ -252,6 +252,24 @@ def brute_count_downsets(a: int, b: int) -> int:
     return count(a, b)
 
 
+def ref_enumerate_downsets(a: int, b: int) -> list[tuple[int, ...]]:
+    """Every non-increasing profile of length a with values 0..b, by
+    recursion, each column's heights from b down to 0."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], bound: int):
+        if len(prefix) == a:
+            out.append(tuple(prefix))
+            return
+        for v in range(bound, -1, -1):
+            prefix.append(v)
+            rec(prefix, v)
+            prefix.pop()
+
+    rec([], b)
+    return out
+
+
 def brute_max_antichain(n: int, less) -> int:
     """Maximum antichain by bitmask enumeration; less(i, j) is the order."""
     pairs = [(i, j) for i in range(n) for j in range(n)

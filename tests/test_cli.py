@@ -127,6 +127,19 @@ class TestVerify:
         assert run("verify", "--in", str(out), "--claim", "x:3,,8,8") == 2
         assert run("verify", "--in", str(out), "--claim", "es:3,8,") == 2
 
+    @pytest.mark.parametrize("claim, pts, message", [
+        ("es:3,2", "0 0\n", "l, n must be >= 3"),
+        ("x:2,5,5", "0 0\n1 1\n2 2\n", "l, m, n must all be >= 3"),
+    ])
+    def test_claim_below_three_exits_two(self, tmp_path, capsys, claim, pts,
+                                         message):
+        f = tmp_path / "p.pts"
+        f.write_text("espts v1\n" + pts)
+        assert run("verify", "--in", str(f), "--claim", claim) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestAnalyze:
     def test_report_schema(self, tmp_path):

@@ -68,6 +68,10 @@ class TestBaseCapfree:
     def test_3_3(self):
         assert len(build_base_capfree(3, 3)) == 2
 
+    def test_validation_names_n(self):
+        with pytest.raises(ValueError, match="l and n must be >= 3"):
+            build_base_capfree(3, 2)
+
     def test_cap_bound_against_oracle(self):
         ps = build_base_capfree(3, 5)
         assert oracles.brute_longest_cap(list(ps)) <= 4
@@ -352,3 +356,7 @@ class TestVerifyConstruction:
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
             verify_construction(PointSet.of([(0, 0)]), ("zzz", 1))
+        # raised before any table: equal x-coordinates would fail there
+        with pytest.raises(ValueError, match="unknown claim kind 'zzz'"):
+            verify_construction(PointSet.of([(0, 0), (0, 1), (2, 2)]),
+                                ("zzz", 3, 4, 4))

@@ -694,6 +694,12 @@ class TestDownsetEnumeration:
         with pytest.raises(ValueError):
             enumerate_downsets(30, 30)
 
+    def test_matches_recursive_reference_in_order(self):
+        for a in range(7):
+            for b in range(7):
+                assert ([d.profile for d in enumerate_downsets(a, b)]
+                        == oracles.ref_enumerate_downsets(a, b)), (a, b)
+
 
 class TestFindStructure:
     def test_collinear_preferred(self):

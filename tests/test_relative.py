@@ -368,7 +368,7 @@ class TestFindFatCap:
 
     def test_whole_set_is_sampled_once(self, monkeypatch):
         # 12 points and k = 4 make every sample the whole set, so a huge
-        # budget still scores each of the C(12, 4) = 495 subsets once
+        # budget still tests at most its C(12, 4) = 495 subsets
         calls = 0
         chain_sign = relative._chain_sign
 
@@ -382,7 +382,37 @@ class TestFindFatCap:
         with pytest.raises(ValueError, match="no 4-cup or 4-cap"):
             find_fat_cap(PointSet.of([(i, i) for i in range(12)]), 4,
                          seed=0, budget=10**7)
-        assert calls == 495
+
+    def test_whole_set_chains_scored_once(self, monkeypatch):
+        # on a parabola every one of the C(12, 4) = 495 subsets is a 4-cup,
+        # and a huge budget scores each exactly once
+        scored = []
+        support_masks = relative._support_masks
+
+        def counting_masks(combo, *args):
+            scored.append(combo)
+            return support_masks(combo, *args)
+
+        monkeypatch.setattr(relative, "_support_masks", counting_masks)
+        find_fat_cap(PointSet.of([(i, i * i) for i in range(12)]), 4,
+                     seed=0, budget=10**7)
+        assert len(scored) == len(set(scored)) == 495
+
+    def test_sample_without_chain_is_skipped(self, monkeypatch):
+        """A sample whose label tables hold no (k-1)-edge label is never
+        enumerated: no 12-chain in a 2000-point 20-bit cloud costs no
+        ``_chain_sign`` call."""
+        rng = random.Random(2000)
+        pts = {}
+        while len(pts) < 2000:
+            pts.setdefault(rng.getrandbits(20), rng.getrandbits(20))
+
+        def chain_sign(*args):
+            raise AssertionError("a sample without a 12-chain was enumerated")
+
+        monkeypatch.setattr(relative, "_chain_sign", chain_sign)
+        with pytest.raises(ValueError, match="no 12-cup or 12-cap"):
+            find_fat_cap(PointSet.of(pts.items()), 12, seed=0, budget=1)
 
     def test_outputs_pinned(self):
         """A sha256 over ``find_fat_cap``'s results and the members of each
