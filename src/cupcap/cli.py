@@ -157,10 +157,12 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
     ps = espts.load_file(args.infile)
     _check_convex_points(len(ps))  # before any table is built
     sheared = shear_distinct_x(ps)
-    members = {}  # analyzer name -> witness
+    # the shear keeps the order, so a sheared witness maps back by index
+    unshear = dict(zip(sheared, ps)).__getitem__
+    members = {}  # analyzer name -> witness; a skipped one's is ps
     if len(ps) >= 2:
-        members["longest_cup"] = longest_cup(sheared).members
-        members["longest_cap"] = longest_cap(sheared).members
+        members["longest_cup"] = [*map(unshear, longest_cup(sheared).members)]
+        members["longest_cap"] = [*map(unshear, longest_cap(sheared).members)]
         # a shear keeps lines, so the tables longest_cup built for the
         # sheared set say whether three points of ps are collinear; if none
         # are, max_collinear's run is the first two points in (x, y) order
@@ -172,18 +174,19 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         members["max_convex_subset"] = max_convex_subset(ps).members
     names = ("longest_cup", "longest_cap", "max_collinear",
              "max_convex_subset")
+    witnesses = {name: _points_json(members.get(name, ps)) for name in names}
     report = {
         "input_file": args.infile,
         "n_points": len(ps),
-        **{name: len(members.get(name, ps)) for name in names},
-        "witnesses": {name: _points_json(members.get(name, ()))
-                      for name in names},
+        **{name: len(witnesses[name]) for name in names},
+        "witnesses": witnesses,
     }
     if not missing:
         found = find_structure(sheared, args.l, args.m, args.n)
         report["structure"] = (
             None if found is None else
-            {"kind": found.kind.value, "points": _points_json(found.members)})
+            {"kind": found.kind.value,
+             "points": _points_json(map(unshear, found.members))})
     _write_json(args.report, report)
     return 0
 

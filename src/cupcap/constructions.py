@@ -450,7 +450,7 @@ def verify_construction(ps: PointSet, claim: tuple) -> ConstructionCertificate:
     else:
         raise ValueError(f"unknown claim kind {kind!r}")
     if len(ps) < 2:
-        cup = cap = coll = 1
+        cup = cap = coll = len(ps)
     else:
         # cup and cap first: an over-limit set stops before the collinear
         # scan, which runs only when the tables' sweep saw three collinear

@@ -51,6 +51,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -80,17 +81,16 @@ _INT64_COORD_LIMIT = 1 << 30
 # at 38 and 1.5 against 9.3 at 253 (20 sets a size, median of 7 runs,
 # numpy loaded).
 _NUMPY_MIN_POINTS = 38
-# Most points the label tables are built for.  Both pure-Python tables of
-# 4096 random 60-bit points took 7.7 s CPU at 279 MB peak RSS (the
-# sort-and-sweep they replaced, timed alongside: 14.2 s at 273 MB), and of
-# 4096 points in convex position, (k * 2**40, k**2), where cup labels reach
-# 4095 and each point's threshold list grows with its index, 7.2 s at 586
-# MB (7.1 s at 499 MB); one process each, 2-vCPU Xeon.  x:3,9,9 (3432
-# points) fits.  Labels stay below it, under 2**15, so the int64 kernel
-# keeps them in int16 arrays.
-# Its tables of 4096 random 20-bit points took 3.4 s and peak at 337 MB,
-# while the cap table's array is turned into a list next to the finished
-# cup list.
+# Most points the label tables are built for.  Labels stay below it, so a
+# table row fits in 16 bits a label and the int64 kernel's int16 arrays.
+# With rows packed to bytes (one process each, 2-vCPU Xeon): both
+# pure-Python tables of 4096 random 60-bit points took 9.2-10.0 s CPU at 59
+# MB peak RSS (279 MB with list rows, 8.7-9.8 s alongside), and of 4096
+# points in convex position, (k * 2**40, k**2), where cup labels reach 4095
+# and each point's threshold lists grow with its index, 10.7 s at 211 MB
+# (586 MB, 9.6 s), most of it those lists.  The int64 tables of 4096 random
+# 20-bit points peak at 111 MB (319 MB), while the cap table's array is
+# packed next to the finished cup rows.  x:3,9,9 (3432 points) fits.
 _MAX_TABLE_POINTS = 4096
 # Most points max_convex_subset takes, checked before its edge sort, whose
 # keyed list grows as n**2.  es:3,12 (1024 points) took 6.9 s CPU at 264 MB
@@ -134,7 +134,10 @@ def _int64_safe(coords: Sequence[tuple[int, int]]) -> bool:
 #
 # For points sorted by strictly increasing x, X[i][j] (i < j) is the length
 # in edges of the longest cup whose last two points are i and j; Y mirrors
-# for caps.  Both are >= 1 for every pair.
+# for caps.  Both are >= 1 for every pair.  A table is a list of n rows of
+# n labels, each row packed (``_packed``): a bytearray, one byte a label, or
+# an array('H') when it holds a label of 256 or more.  Readers only index,
+# slice, ``max`` and ``.index`` the rows, which work alike on both.
 
 
 def _slope(dy: int, dx: int) -> float:
@@ -168,6 +171,16 @@ def _grow(lists: list, free: float) -> None:
     past that top slot can be filed in any of them."""
     for lst in lists:
         lst.append(free)
+
+
+def _packed(row) -> bytearray | array:
+    """A finished table row at one byte a label, or at two once a label
+    reaches 256; labels stay below ``_MAX_TABLE_POINTS``, so 16 bits hold
+    them."""
+    try:
+        return bytearray(row)
+    except ValueError:
+        return array("H", row)
 
 
 def _exact_thresholds(coords: Sequence[tuple[int, int]], i: int, X, Y,
@@ -208,10 +221,10 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
     point, where exact keys decide.
 
     Row i of the tables is made when anchor i comes up, after the last
-    anchor's temporaries are dropped.  So the row objects take the slots of
-    finished points' threshold lists, and the rows take the temporaries'
-    place, instead of both adding to the memory the lists and temporaries
-    leave behind."""
+    anchor's temporaries are dropped, as a list, so the stores into it stay
+    fast and the tie path can rewrite them; it is packed when the next
+    anchor comes up.  So the n-slot lists live one anchor at a time, and
+    the finished rows take a byte a label."""
     n = len(coords)
     inf = math.inf
     X = [None] * n
@@ -221,6 +234,8 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
     # the last point starts no pair
     for i, (xi, yi) in enumerate(coords[:-1]):
         after = sk = distinct = T = U = None
+        if i:  # the last anchor's row is final
+            X[i - 1], Y[i - 1] = _packed(Xi), _packed(Yi)
         Xi = X[i] = [1] * n
         Yi = Y[i] = [1] * n
         after = coords[i + 1:]
@@ -281,9 +296,10 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
                 if b == len(high[j]):
                     _grow(high[i + 1:], -inf)
                 _file(low[j], high[j], s, a, b)
+    if n > 1:
+        X[-2], Y[-2] = _packed(Xi), _packed(Yi)
     if n:
-        X[-1] = [1] * n
-        Y[-1] = [1] * n
+        X[-1], Y[-1] = bytearray(b"\x01") * n, bytearray(b"\x01") * n
     return X, Y, collinear
 
 
@@ -298,10 +314,10 @@ def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
     against every predecessor instead.  Every collinear triple is such a
     successor with a zero cross product, which sets the returned flag.
 
-    It returns lists of lists, as ``_label_tables_python`` does, because
-    the table readers index a list several times faster than an array; X
-    is converted and dropped before Y, so only one array is held next to
-    the lists."""
+    It returns packed rows, as ``_label_tables_python`` does: they take a
+    byte a label, and the table readers index them several times faster
+    than an array.  X is converted and dropped before Y, so only one array
+    is held next to the rows."""
     import numpy as np
 
     n = len(coords)
@@ -337,9 +353,15 @@ def _label_tables_numpy(coords: Sequence[tuple[int, int]]):
             X[i, tied] = np.where(cr > 0, X[:i, i, None], 0).max(axis=0) + 1
             Y[i, tied] = np.where(cr < 0, Y[:i, i, None], 0).max(axis=0) + 1
             collinear = collinear or not cr.all()
+
+    def rows(table):  # _packed, one array row at a time
+        narrow = (table.max(axis=1) < 256).tolist()
+        return [bytearray(r.astype(np.uint8).data) if small
+                else array("H", r.tobytes()) for r, small in zip(table, narrow)]
+
     # no view of X outlives the loop, so rebinding X frees its array
-    X = X.tolist()
-    return X, Y.tolist(), collinear
+    X = rows(X)
+    return X, rows(Y), collinear
 
 
 def _label_tables(coords: Sequence[tuple[int, int]]):
@@ -387,8 +409,8 @@ def _check_convex_points(n) -> None:
 class _Tables(NamedTuple):
     pts: list[Point]  # in (x, y) order
     coords: list[tuple[int, int]]  # their int_coords
-    X: list[list[int]]  # cup labels
-    Y: list[list[int]]  # cap labels
+    X: list  # cup labels, packed rows
+    Y: list  # cap labels, packed rows
     collinear: bool  # whether three points are collinear
 
 

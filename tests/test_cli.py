@@ -127,6 +127,18 @@ class TestVerify:
         assert run("verify", "--in", str(out), "--claim", "x:3,,8,8") == 2
         assert run("verify", "--in", str(out), "--claim", "es:3,8,") == 2
 
+    @pytest.mark.parametrize("pts", ["", "7 -2\n"])
+    def test_tiny_sets_count_their_points(self, tmp_path, pts):
+        # no chain or run can be longer than the set
+        f, rep = tmp_path / "p.pts", tmp_path / "r.json"
+        f.write_text("espts v1\n" + pts)
+        n = len(pts.splitlines())
+        for claim in ("x:3,5,5", "es:3,6"):
+            assert run("verify", "--in", str(f), "--claim", claim,
+                       "--report", str(rep)) == 1
+            bounds = json.loads(rep.read_text())["bounds"]
+            assert set(bounds.values()) == {n}
+
     @pytest.mark.parametrize("claim, pts, message", [
         ("es:3,2", "0 0\n", "l, n must be >= 3"),
         ("x:2,5,5", "0 0\n1 1\n2 2\n", "l, m, n must all be >= 3"),
@@ -240,6 +252,41 @@ class TestAnalyze:
         f.write_text("espts v1\n0 0\n0 1\n1 0\n2 5\n")
         rep = tmp_path / "r.json"
         assert run("analyze", "--in", str(f), "--report", str(rep)) == 0
+
+    @pytest.mark.parametrize("pts, lmn, structure", [
+        ("0 0\n0 1\n0 2\n", "333", "collinear_run"),
+        ("0 0\n0 1\n1 0\n1 3\n2 5\n2 -4\n3 1\n", "994", "cap"),
+    ])
+    def test_sheared_witnesses_are_input_points(self, tmp_path, pts, lmn,
+                                                structure):
+        # equal x-coordinates: the chains and the structure are found on a
+        # sheared copy, but every reported point is an input point
+        f, rep = tmp_path / "v.pts", tmp_path / "r.json"
+        f.write_text("espts v1\n" + pts)
+        assert run("analyze", "--in", str(f), "--report", str(rep),
+                   "--l", lmn[0], "--m", lmn[1], "--n", lmn[2]) == 0
+        payload = json.loads(rep.read_text())
+        given = [p.split() for p in pts.splitlines()]
+        reported = [payload["structure"]["points"],
+                    *payload["witnesses"].values()]
+        assert payload["structure"]["kind"] == structure
+        assert all(p in given for w in reported for p in w)
+        if structure == "collinear_run":
+            assert payload["witnesses"]["longest_cup"] == given[:2]
+            assert payload["structure"]["points"] == given
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_inputs_witness_the_whole_set(self, tmp_path, n):
+        # analyzers that need more points are skipped; each count is its
+        # witness's size, and a skipped analyzer's witness is the set
+        f, rep = tmp_path / "t.pts", tmp_path / "r.json"
+        given = [[str(i), str(i * i)] for i in range(n)]
+        f.write_text("espts v1\n" + "".join(f"{x} {y}\n" for x, y in given))
+        assert run("analyze", "--in", str(f), "--report", str(rep)) == 0
+        payload = json.loads(rep.read_text())
+        for name, witness in payload["witnesses"].items():
+            assert payload[name] == len(witness) == n
+            assert witness == given
 
 
 class TestBounds:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,11 @@ from conftest import random_general_position, random_point_set
 
 def pt(x, y):
     return Point.of(x, y)
+
+
+def as_lists(table):
+    """A label table's rows as lists, to compare with a reference's."""
+    return [list(row) for row in table]
 
 
 PARABOLA5 = PointSet.of([(i, i * i) for i in range(5)])
@@ -121,15 +127,29 @@ class TestLongestCupCap:
         assert (X[1][2], Y[1][2]) == (2, 1)
         assert (X, Y) == _label_tables_python(coords)[:2]
 
-    def test_both_builders_return_lists_of_int(self):
-        # every table reader indexes one type: list rows of Python ints
-        coords = int_coords(sorted(random_point_set(random.Random(5), 40),
-                                   key=lambda p: p.x))
-        for build in (_label_tables_python, _label_tables_numpy):
-            for table in build(coords)[:2]:
-                assert type(table) is list
-                assert all(type(row) is list for row in table)
-                assert all(type(v) is int for row in table for v in row)
+    def test_both_builders_return_packed_rows(self):
+        # a table is a list of rows; a row is a bytearray, one byte a
+        # label, or an array('H') exactly when it holds a label of 256 or
+        # more.  On the 300-point convex chain cup labels reach 299.
+        cloud = int_coords(sorted(random_point_set(random.Random(5), 40),
+                                  key=lambda p: p.x))
+        chain = [(k << 20, k * k) for k in range(300)]
+        wide = 0
+        for coords in (cloud, chain):
+            n = len(coords)
+            for build in (_label_tables_python, _label_tables_numpy):
+                for table in build(coords)[:2]:
+                    assert type(table) is list and len(table) == n
+                    for row in table:
+                        assert len(row) == n and min(row) >= 1
+                        if max(row) < 256:
+                            assert type(row) is bytearray
+                        else:
+                            assert type(row) is array and row.typecode == "H"
+                            wide += 1
+        # rows 255-298 of the chain's cup table (row i holds label i + 1),
+        # from both builders
+        assert wide == 2 * 44
 
 
 class TestMaxCollinear:
@@ -263,8 +283,8 @@ class TestExactReferences:
                                       "edge", "huge", "mixed"])
     def test_matches_reference(self, kind):
         coords = reference_set(kind)
-        assert _label_tables_python(coords)[:2] == \
-            oracles.exact_label_tables(coords)
+        X, Y, _ = _label_tables_python(coords)
+        assert (as_lists(X), as_lists(Y)) == oracles.exact_label_tables(coords)
         ps = PointSet.of(coords)
         assert list(max_collinear(ps).members) == \
             oracles.exact_max_collinear(ps)
@@ -396,7 +416,7 @@ class TestPushForwardKernel:
         expected = len(oracles.exact_max_collinear(PointSet.of(coords))) >= 3
         for c in (coords, reflected):
             X, Y, collinear = _label_tables_python(c)
-            assert (X, Y) == oracles.exact_label_tables(c)
+            assert (as_lists(X), as_lists(Y)) == oracles.exact_label_tables(c)
             assert collinear is expected
         return expected
 
@@ -447,6 +467,23 @@ class TestPushForwardKernel:
         assert extremal._slope(1 << 1030, 1) == float("inf")
         assert extremal._slope(-(1 << 1030), 1) == float("-inf")
         self.check(coords)
+
+    def test_tie_path_on_x577(self, monkeypatch):
+        # x:5,7,7 has collinear triples, so anchors take the exact
+        # thresholds; their tables must still equal the reference's
+        calls = []
+        exact = extremal._exact_thresholds
+
+        def counted(*args):
+            calls.append(args[1])
+            return exact(*args)
+
+        monkeypatch.setattr(extremal, "_exact_thresholds", counted)
+        coords = int_coords(sorted(build_free_set(5, 7, 7),
+                                   key=lambda p: p.x))
+        X, Y, collinear = _label_tables_python(coords)
+        assert collinear and calls
+        assert (as_lists(X), as_lists(Y)) == oracles.exact_label_tables(coords)
 
     def test_convex_parabola(self):
         # every earlier point extends the cup: labels reach n - 1
