@@ -11,11 +11,11 @@ Three families:
   produce sets with no l collinear points and no n points in convex
   position.
 
-"Very flat" is made operational: the combiner places its flattened copy
-at an analytic scale that provably separates the parts, and the arc
-assembly halves its block size from an analytic guess until the exact
-separation predicates verify.  Verification always happens on the final
-coordinates; nothing is trusted from construction-time reasoning.
+"Very flat" is made operational: the combiner and the arc assembly each
+place their parts once, at an analytic scale that provably separates
+them, and raise ``ConstructionError`` if the exact separation predicates
+fail there.  Verification always happens on the final coordinates;
+nothing is trusted from construction-time reasoning.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .bounds import convex_forcing_lower, free_set_size_bound
@@ -32,7 +33,6 @@ from .extremal import (_check_convex_points, _detection_tables,
 from .geom import (Point, PointSet, int_coords, int_cross, int_hull,
                    int_normalize)
 
-_MAX_ADAPT_ATTEMPTS = 10_000
 # Largest set the generators will build; the same cap as enumerate_downsets.
 _MAX_POINTS = 10**6
 
@@ -121,20 +121,16 @@ def _int_hulls_side(hu: Sequence[tuple[int, int]],
     Only hull vertices are tested.  That covers every point of the lower
     part (the turn is affine in r), but not every pair of the upper: a
     steep pair inside its hull can have a lower point on its other side.
+    For parts with pairwise distinct x, the callers' slope bounds cover
+    every pair as well (``_combine``, ``build_convex_free``).
     """
-    for i in range(len(hu)):
-        for j in range(i + 1, len(hu)):
-            p, q = hu[i], hu[j]
-            if p > q:
-                p, q = q, p
-            for r in hl:
-                if int_cross(p, q, r) * want_sign <= 0:
-                    return False
+    for p, q in combinations(hu, 2):
+        if p > q:
+            p, q = q, p
+        for r in hl:
+            if int_cross(p, q, r) * want_sign <= 0:
+                return False
     return True
-
-
-def _shifted(pairs: Sequence[tuple[int, int]], dx: int, dy: int) -> Pairs:
-    return [(x + dx, y + dy) for x, y in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
     k = _halvings(delta * uy, 2 * max(ha, hb, uy) * (wa + ux + wb))
     dx = max(axs) + ux - min(bxs)
     lift = max(ays) - min(bys) + (uy << k)
-    lifted = _shifted(hull_b, dx, lift)
+    lifted = [(x + dx, y + lift) for x, y in hull_b]
     if not (_int_hulls_side(hull_a, lifted, 1)
             and _int_hulls_side(lifted, hull_a, -1)):
         raise ConstructionError(
@@ -249,10 +245,12 @@ def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     one part, against every point of the other; ``--cert``
     (``verify_construction``) recomputes every bound of the result.
 
-    The vertical scale t = 2^-k comes from an analytic slope bound, which
-    passes both checks unless a part has two hull vertices with equal x
-    (``_combine``); such parts raise ``ConstructionError``.  The result is
-    the union's ``int_coords``.  The work runs on integer pairs
+    The vertical scale t = 2^-k comes from an analytic slope bound
+    (``_combine``).  For parts with pairwise distinct x, as every part
+    ``build_free_set`` combines, it separates every pair of points, not
+    only the hull-vertex pairs the check tests.  Two hull vertices with
+    equal x fail the check at every scale and raise ``ConstructionError``.
+    The result is the union's ``int_coords``.  The work runs on integer pairs
     (``_combine``): each axis is scaled by the common denominator of its
     coordinates, which is also its unit length.
     """
@@ -312,15 +310,18 @@ def _largest_remainder(values: Sequence[Fraction], total: int) -> list[int]:
     return out
 
 
-def _arc_anchors(t: int) -> tuple[Pairs, int]:
+def _arc_anchors(t: int) -> tuple[Pairs, int, int]:
     """The rational points (2u, 1 - u^2)/(1 + u^2) of the unit circle at
     u = i/(t+1), i = 1..t, from near (0, 1) to near (1, 0): integer pairs
-    over one common denominator, and that denominator."""
+    over one common denominator, that denominator, and the least e with
+    2^-e at most a quarter of the points' least x gap."""
     c = t + 1
     dens = [c * c + a * a for a in range(1, t + 1)]
     den = math.lcm(*dens)
-    return [(2 * a * c * (den // d), (c * c - a * a) * (den // d))
-            for a, d in zip(range(1, t + 1), dens)], den
+    anchors = [(2 * a * c * (den // d), (c * c - a * a) * (den // d))
+               for a, d in zip(range(1, t + 1), dens)]
+    gap = min(q[0] - p[0] for p, q in zip(anchors, anchors[1:]))
+    return anchors, den, _halvings(gap, 4 * den)
 
 
 def _blocks_pairwise_ok(hulls: Sequence[Sequence[tuple[int, int]]]) -> bool:
@@ -336,25 +337,21 @@ def _blocks_pairwise_ok(hulls: Sequence[Sequence[tuple[int, int]]]) -> bool:
       selections follow the cap-shaped arc).
 
     Each condition is affine in the point tested against a line, so hull
-    vertices cover every point there; the first two do not cover lines
-    through other pairs of a block.  ``--cert`` (``verify_construction``)
-    recomputes every bound of the result.
+    vertices cover every point there; the first two test only lines
+    through hull vertices, but for the arc assembly's blocks every line
+    through two points of a block passes as well (``build_convex_free``).
+    ``--cert`` (``verify_construction``) recomputes every bound of the
+    result.
     """
-    t = len(hulls)
-    for i in range(t):
-        for j in range(i + 1, t):
-            if not _int_hulls_side(hulls[i], hulls[j], -1):
-                return False
-            if not _int_hulls_side(hulls[j], hulls[i], 1):
-                return False
-    for i in range(t):
-        for j in range(i + 1, t):
-            for k in range(j + 1, t):
-                for p in hulls[i]:
-                    for q in hulls[j]:
-                        for r in hulls[k]:
-                            if int_cross(p, q, r) >= 0:
-                                return False
+    for hi, hj in combinations(hulls, 2):
+        if not (_int_hulls_side(hi, hj, -1) and _int_hulls_side(hj, hi, 1)):
+            return False
+    for hi, hj, hk in combinations(hulls, 3):
+        for p in hi:
+            for q in hj:
+                for r in hk:
+                    if int_cross(p, q, r) >= 0:
+                        return False
     return True
 
 
@@ -370,13 +367,27 @@ def build_convex_free(l: int, n: int) -> PointSet:
     create new structures).  Requires n >= 6 (the arc needs all three block
     kinds).
 
-    Each block is scaled into a size x size*flat box, with size = flat =
-    2^-e halved together from a quarter of the anchors' least x gap until
-    ``_blocks_pairwise_ok`` passes.  The work runs on integer pairs: per
-    attempt, x is scaled by 2^(e+1) * lcm(widths) * den and y by
-    2^(2e) * lcm(heights) * den, where den is the anchors' common
-    denominator, so each attempt only shifts the blocks' fixed integer
-    shapes by their scaled anchors.
+    Each block is scaled into an s x s^2 box at its anchor, s = 2^-e
+    (``_arc_anchors``), on integer pairs: x is scaled by 2^(e+1) *
+    lcm(widths) * den and y by 2^(2e) * lcm(heights) * den, where den is
+    the anchors' common denominator.
+
+    One placement is checked, as no (l, n) under the point cap fails it.
+    In its bounding box scaled to 1 x 1, no pair of a prefix of a
+    ``_free_part`` list falls steeper than 3.  Base cupfree sets rise.  A
+    base capfree prefix lies on chords of the parabola (x, -x^2) from
+    near its vertex, none over 3 times as steep as its first-to-last
+    chord.  A ``_combine`` prefix is one of the left part or spans a width
+    of at most W and a height of at least G >= 2*H*W/delta; pairs across
+    the parts rise, and a pair in one part falls at most
+    H/delta <= G/(2W), which is 1/2 in the box.  So a line through two
+    points of a block falls at most 3s per unit of x.
+    Anchors u < v with u >= h = 1/(t+1) have dy = dx*(u+v)/(1-uv) >=
+    3h*dx, and s <= h/2, 4s <= dx, so dy > 3s*(dx + s) + s^2: the line
+    passes above every later box and, mirrored, below every earlier one.
+    A turn is affine in each point, so the triples of three blocks turn
+    right if the 64 corner triples of their boxes do; the tests check
+    those for t = 3..18, every n the cap admits.
     """
     if n < 6:
         raise ValueError("the arc assembly needs n >= 6")
@@ -392,9 +403,7 @@ def build_convex_free(l: int, n: int) -> PointSet:
     blocks = [_free_part(l, mm, nn, memo)[0][:size]
               for (mm, nn), size in zip(shapes, sizes)]
 
-    anchors, den = _arc_anchors(len(blocks))
-    e = _halvings(min(q[0] - p[0] for p, q in zip(anchors, anchors[1:])),
-                  4 * den)
+    anchors, den, e = _arc_anchors(len(blocks))
     boxes = []  # each block's lower-left corner, width and height
     for blk in blocks:
         xs, ys = [x for x, _ in blk], [y for _, y in blk]
@@ -402,26 +411,16 @@ def build_convex_free(l: int, n: int) -> PointSet:
         boxes.append((x0, y0, max(max(xs) - x0, 1), max(max(ys) - y0, 1)))
     w_lcm = math.lcm(*(w for _, _, w, _ in boxes))
     h_lcm = math.lcm(*(h for _, _, _, h in boxes))
-    scaled, hulls, offsets = [], [], []
+    placed = []
     for blk, (x0, y0, w, h), (ax, ay) in zip(blocks, boxes, anchors):
         fx, fy = 2 * den * (w_lcm // w), den * (h_lcm // h)
-        pts = sorted(((fx * (x - x0), fy * (y - y0)) for x, y in blk),
-                     key=lambda p: p[0])
-        scaled.append(pts)
-        hulls.append(int_hull(pts))
-        offsets.append((w_lcm * ax, h_lcm * ay))
-    for _ in range(_MAX_ADAPT_ATTEMPTS):
-        shift = [(ox << (e + 1), oy << (2 * e)) for ox, oy in offsets]
-        if _blocks_pairwise_ok([_shifted(hull, *d)
-                                for hull, d in zip(hulls, shift)]):
-            out = [p for pts, d in zip(scaled, shift)
-                   for p in _shifted(pts, *d)]
-            return _point_set(int_normalize([x for x, _ in out],
-                                            [y for _, y in out]))
-        e += 1
-    raise ConstructionError(
-        f"arc placement did not verify within {_MAX_ADAPT_ATTEMPTS} "
-        "attempts")
+        dx, dy = w_lcm * ax << (e + 1), h_lcm * ay << (2 * e)
+        placed.append([(fx * (x - x0) + dx, fy * (y - y0) + dy)
+                       for x, y in blk])
+    if not _blocks_pairwise_ok([int_hull(pts) for pts in placed]):
+        raise ConstructionError("arc placement did not verify")
+    out = [p for pts in placed for p in pts]
+    return _point_set(int_normalize([x for x, _ in out], [y for _, y in out]))
 
 
 # ---------------------------------------------------------------------------

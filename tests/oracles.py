@@ -24,12 +24,15 @@ from itertools import combinations, islice
 from typing import Optional
 
 from cupcap.bounds import free_set_size_bound
-from cupcap.constructions import (_MAX_ADAPT_ATTEMPTS, _int_hulls_side,
-                                  _largest_remainder)
+from cupcap.constructions import _int_hulls_side, _largest_remainder
 from cupcap.extremal import _chain_backward, _max_label_pair
 from cupcap.geom import Point, PointSet, int_coords, int_cross, int_hull, \
     slope_scale
 from cupcap.relative import _line_misses
+
+# the Fraction placements below halve their scale until their checks pass;
+# the library checks one placement, so this bound is the references' own
+_MAX_ATTEMPTS = 10_000
 
 
 def cross(o, a, b):
@@ -494,7 +497,7 @@ def ref_combine_flat(a: PointSet, b: PointSet) -> PointSet:
     h_max = max(ha, hb, Fraction(1))
     guess = delta / (2 * h_max * max(x_max, Fraction(1)))
     t = _pow2_at_most(min(guess, Fraction(1)))
-    for _ in range(_MAX_ADAPT_ATTEMPTS):
+    for _ in range(_MAX_ATTEMPTS):
         c = int_coords([*(Point(p.x, t * p.y) for p in a0),
                         *(Point(p.x + wa + 1, t * p.y + t * ha + 1)
                           for p in b0)])
@@ -554,7 +557,7 @@ def ref_build_convex_free(l: int, n: int) -> PointSet:
         b0 = _to_origin(blk)
         w, h = _extent(b0)
         norm.append((b0, max(w, Fraction(1)), max(h, Fraction(1))))
-    for _ in range(_MAX_ADAPT_ATTEMPTS):
+    for _ in range(_MAX_ATTEMPTS):
         placed = [[Point(size / w * p.x + anchor.x - size / 2,
                          size * flat / h * p.y + anchor.y) for p in b0]
                   for (b0, w, h), anchor in zip(norm, anchors)]

@@ -10,8 +10,9 @@ from cupcap import (ConstructionError, Point, PointSet, build_base_capfree,
                     cup_cap_threshold, free_set_size_bound, longest_cap_size,
                     longest_cup_size, max_collinear, normalize_integer_coords,
                     orientation, verify_construction)
-from cupcap.constructions import _free_part, _int_hulls_side
-from cupcap.geom import cross_sign, int_coords, int_hull
+from cupcap.constructions import (_arc_anchors, _blocks_pairwise_ok,
+                                  _free_part, _int_hulls_side)
+from cupcap.geom import cross_sign, int_coords, int_cross, int_hull
 
 import oracles
 
@@ -305,6 +306,68 @@ class TestBuildConvexFree:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             build_convex_free(3, 5)
+
+    def test_one_placement_is_checked(self, monkeypatch):
+        # the analytic scale always verifies, so the blocks are placed and
+        # checked once, and a failing check raises at once
+        calls = []
+
+        def counted(hulls):
+            calls.append(len(hulls))
+            return _blocks_pairwise_ok(hulls)
+
+        def failing(hulls):
+            calls.append(len(hulls))
+            return False
+
+        monkeypatch.setattr("cupcap.constructions._blocks_pairwise_ok",
+                            counted)
+        build_convex_free(3, 7)
+        assert calls == [4]  # one check of the n - 3 blocks
+        calls.clear()
+        monkeypatch.setattr("cupcap.constructions._blocks_pairwise_ok",
+                            failing)
+        with pytest.raises(ConstructionError, match="did not verify"):
+            build_convex_free(3, 7)
+        assert calls == [4]
+
+    def test_free_part_prefixes_fall_at_most_three(self):
+        # the docstring's slope bound: in its bounding box scaled to 1 x 1,
+        # no two points of a prefix of a free part fall steeper than 3; the
+        # parts come in x order, so the placement needs no sort
+        for l in (3, 4, 5, 8):
+            memo = {}
+            for m in range(3, 8):
+                for n in range(3, 8):
+                    pts = _free_part(l, m, n, memo)[0]
+                    x0, lo, hi = pts[0][0], pts[0][1], pts[0][1]
+                    steepest = Fraction(0)
+                    for k, (qx, qy) in enumerate(pts[1:], 1):
+                        assert qx > pts[k - 1][0]
+                        steepest = min(steepest, *(Fraction(qy - py, qx - px)
+                                                   for px, py in pts[:k]))
+                        lo, hi = min(lo, qy), max(hi, qy)
+                        assert steepest * (qx - x0) >= -3 * (hi - lo), \
+                            (l, m, n, k)
+
+    def test_boxes_separate_for_every_n_under_the_cap(self):
+        # the placement's margins on the blocks' s x s^2 boxes, whatever the
+        # blocks hold, at every t = n - 3 blocks the point cap admits: a
+        # line falling 3s per unit of x through one box passes above every
+        # later box, and the corners of any three boxes turn right
+        with pytest.raises(ValueError, match="over the cap"):
+            build_convex_free(3, 22)  # larger l admits fewer points
+        for t in range(3, 19):
+            anchors, den, e = _arc_anchors(t)
+            for (xi, yi), (xj, yj) in combinations(anchors, 2):
+                # dy > 3s*(dx + s) + s^2 times den / s^2, s = 2^-e
+                assert (yi - yj) << 2 * e > 3 * (xj - xi << e) + 4 * den
+            boxes = [[((ax << e + 1) + dx, (ay << 2 * e) + dy)
+                      for dx in (0, 2 * den) for dy in (0, den)]
+                     for ax, ay in anchors]
+            assert all(int_cross(p, q, r) < 0
+                       for bi, bj, bk in combinations(boxes, 3)
+                       for p in bi for q in bj for r in bk), t
 
     def test_max_convex_against_oracle(self):
         # oracle-check the exact DP on construction coordinates (12 of the
