@@ -119,10 +119,10 @@ def _int_hulls_side(hu: Sequence[tuple[int, int]],
     signs.
 
     Only hull vertices are tested.  That covers every point of the lower
-    part (the turn is affine in r), but not every pair of the upper: a
-    steep pair inside its hull can have a lower point on its other side.
-    For parts with pairwise distinct x, the callers' slope bounds cover
-    every pair as well (``_combine``, ``build_convex_free``).
+    part (the turn is affine in r), but not every pair of the upper; the
+    callers' slope bounds cover every pair as well, and both callers take
+    only parts with pairwise distinct x (``_combine``,
+    ``build_convex_free``).
     """
     for p, q in combinations(hu, 2):
         if p > q:
@@ -197,21 +197,26 @@ def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
     its vertices are points of the union, so normalising them with the
     union leaves the union's minima and gcds unchanged.
 
-    One placement is checked, at the first k, because no other could
-    pass where it fails.  Let delta be the least gap between distinct x
+    One placement is checked, at the first k, and it passes on parts with
+    pairwise distinct x.  Let delta be the least gap between distinct x
     of one part, H = max(ha, hb, uy) and W = wa + ux + wb; k is the least
     with uy * 2^k * delta >= 2*H*W, and b's lowest point lies G = uy *
     2^k above a's highest.  A pair p, q of a with distinct x has |slope|
     <= ha / delta, and every point r of b lies at most W to the right
     of q, so the line pq passes r's x at most ha*W/delta < G above a's
     top: r is strictly above it.  Mirrored, every line through two points
-    of b with distinct x passes a's points strictly above them.  So the
-    check fails only on a pair of hull vertices with equal x, whose
-    vertical line has the other part on its wrong side at every k.
+    of b with distinct x passes a's points strictly above them.  A pair
+    with equal x has its vertical line with the other part on its wrong
+    side at every k, so a part holding one is refused before any
+    placement.
     """
     (a, hull_a), (b, hull_b) = a, b
     axs, ays = [x for x, _ in a], [y for _, y in a]
     bxs, bys = [x for x, _ in b], [y for _, y in b]
+    if len(set(axs)) < len(axs) or len(set(bxs)) < len(bxs):
+        raise ConstructionError(
+            "flat placement did not verify: a part has two points with "
+            "equal x")
     wa, ha = max(axs) - min(axs), max(ays) - min(ays)
     wb, hb = max(bxs) - min(bxs), max(bys) - min(bys)
     gaps = [g for g in (_min_gap(axs), _min_gap(bxs)) if g is not None]
@@ -223,9 +228,7 @@ def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
     lifted = [(x + dx, y + lift) for x, y in hull_b]
     if not (_int_hulls_side(hull_a, lifted, 1)
             and _int_hulls_side(lifted, hull_a, -1)):
-        raise ConstructionError(
-            "flat placement did not verify: a part has two hull vertices "
-            "with equal x")
+        raise ConstructionError("flat placement did not verify")
     hull = int_hull(hull_a + lifted)
     c = int_normalize(axs + [x + dx for x in bxs] + [x for x, _ in hull],
                       ays + [y + lift for y in bys] + [y for _, y in hull])
@@ -246,10 +249,11 @@ def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     (``verify_construction``) recomputes every bound of the result.
 
     The vertical scale t = 2^-k comes from an analytic slope bound
-    (``_combine``).  For parts with pairwise distinct x, as every part
-    ``build_free_set`` combines, it separates every pair of points, not
-    only the hull-vertex pairs the check tests.  Two hull vertices with
-    equal x fail the check at every scale and raise ``ConstructionError``.
+    (``_combine``).  It separates every pair of points, not only the
+    hull-vertex pairs the check tests.  The parts must have pairwise
+    distinct x, as every part ``build_free_set`` combines has: a part with
+    two points of equal x raises ``ConstructionError``, since the other
+    part lies on the wrong side of their vertical line at every scale.
     The result is the union's ``int_coords``.  The work runs on integer pairs
     (``_combine``): each axis is scaled by the common denominator of its
     coordinates, which is also its unit length.

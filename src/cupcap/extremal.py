@@ -41,11 +41,12 @@ Conventions:
   zero cross product at the middle point.  ``find_structure`` and
   ``constructions.verify_construction`` run ``max_collinear`` only when
   that flag is set.
-* Vectorized int64 kernels (the label tables, and ``max_collinear``'s
-  anchor prefilter) run on sets of ``_NUMPY_MIN_POINTS`` or more with
-  |coordinate| < 2**30.  Every difference is then an integer below 2**31,
-  which float64 holds exactly, and int64 cross products decide the float
-  ties.
+* The label tables take a vectorized int64 kernel on sets of
+  ``_NUMPY_MIN_POINTS`` or more with |coordinate| < 2**30.  Every
+  difference is then an integer below 2**31, which float64 holds exactly,
+  and int64 cross products decide the float ties.  It is the only code
+  that loads numpy; ``max_collinear`` runs the one pure-Python scan on
+  every input.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional, Sequence
 
@@ -64,22 +65,17 @@ from .geom import Point, PointSet, int_coords, int_cross, slope_scale
 # Below this coordinate magnitude every cross product fits in int64: with
 # |coordinate| < 2**30, differences are below 2**31, each product of two
 # below 2**62 and their difference below 2**63.  This bound is only int64
-# overflow.  The label tables and ``max_collinear``'s prefilter take the
-# int64 path only there, and the pure-Python path of Python ints above.
-# Results are identical.
+# overflow.  The label tables take the int64 path only there, and the
+# pure-Python path of Python ints above.  Results are identical.
 _INT64_COORD_LIMIT = 1 << 30
-# The size from which the label tables and ``max_collinear``'s prefilter
-# take their int64 kernels.  For the tables this is below the break-even:
-# on 20-bit random sets (40 sets a size, median of 15 interleaved runs,
-# 2-vCPU Xeon, numpy 2.4.6) the push-forward Python tables took 0.58 of the
-# int64 tables' time at 32 points, 0.67 at 38, 0.78 at 40 and 0.88 at 48,
-# so sets of 38 to at least 48 points take the slower path.  It stays at
-# 38 because a move sends sets to the other path, which needs its own
-# measured benchmark pairs (ROADMAP, "Smaller fixes").  The prefilter pays
-# off sooner: on 20-bit general-position sets it took 0.05 ms a set
-# against the per-anchor set test's 0.07 at 20 points, 0.08 against 0.27
-# at 38 and 1.5 against 9.3 at 253 (20 sets a size, median of 7 runs,
-# numpy loaded).
+# The size from which the label tables take their int64 kernel.  This is
+# below the break-even: on 20-bit random sets (10 sets a size, best of 5,
+# one vCPU of a 2-vCPU Xeon, numpy 2.4.6, two runs) the push-forward
+# Python tables took 0.62-0.72 of the int64 tables' time at 38 points,
+# 0.86-0.95 at 57 and 0.99-1.06 at 71, so sets of 38 to about 65 points
+# take the slower path.  It stays at 38 because a move sends sets to the
+# other path, which needs its own measured benchmark pairs (ROADMAP,
+# "Smaller fixes").
 _NUMPY_MIN_POINTS = 38
 # Most points the label tables are built for.  Labels stay below it, so a
 # table row fits in 16 bits a label and the int64 kernel's int16 arrays.
@@ -518,11 +514,11 @@ def longest_cap(ps: PointSet) -> StructureWitness:
     return _longest_chain(ps, WitnessKind.CAP, -1)
 
 
-def _max_label_pair(table, size: int):
+def _max_label_pair(table):
     """Largest label in a pair table and the first pair that holds it."""
     best, where = 0, None
-    for i in range(size - 1):
-        row = table[i][i + 1:size]
+    for i in range(len(table) - 1):
+        row = table[i][i + 1:]
         top = max(row)
         if top > best:
             best, where = top, (i, i + 1 + row.index(top))
@@ -532,8 +528,8 @@ def _max_label_pair(table, size: int):
 def _longest_size(ps: PointSet, sign: int) -> int:
     if len(ps) < 2:
         raise ValueError("needs at least 2 points")
-    pts, _, X, Y, _ = _detection_tables(ps, False)
-    return _max_label_pair(X if sign > 0 else Y, len(pts))[0] + 1
+    _, _, X, Y, _ = _detection_tables(ps, False)
+    return _max_label_pair(X if sign > 0 else Y)[0] + 1
 
 
 def longest_cup_size(ps: PointSet) -> int:
@@ -547,32 +543,6 @@ def longest_cap_size(ps: PointSet) -> int:
 
 # ---------------------------------------------------------------------------
 # maximum collinear subset
-
-
-def _slope_tied_anchors(coords: Sequence[tuple[int, int]]) -> list[bool]:
-    """For each anchor i of int64-safe ``coords`` in (x, y) order, whether
-    two later points have equal float64 slopes from i.
-
-    Equal exact slopes give equal floats (vertical ones +inf), so an
-    anchor without a float tie sees every later point in its own slope
-    bucket.  Rows are sorted in blocks that keep the array near 2**18
-    entries; the entries j <= i are NaN, which equals nothing."""
-    import numpy as np
-
-    n = len(coords)
-    x = np.array([c[0] for c in coords], dtype=np.float64)
-    y = np.array([c[1] for c in coords], dtype=np.float64)
-    col = np.arange(n)
-    tied = np.zeros(n, dtype=bool)
-    step = max(1, (1 << 18) // n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n, step):
-            row = col[start:start + step, None]
-            s = (y - y[row]) / (x - x[row])
-            s[col <= row] = np.nan
-            s.sort(axis=1)
-            tied[row[:, 0]] = (s[:, 1:] == s[:, :-1]).any(axis=1)
-    return tied.tolist()
 
 
 def _float_slope_tied(coords: Sequence[tuple[int, int]], i: int) -> bool:
@@ -595,24 +565,19 @@ def max_collinear(ps: PointSet) -> StructureWitness:
     the entire rest of the run in a single slope-key bucket (``None`` for
     the vertical direction).  Anchors from which no two later points have
     equal float slopes are skipped: their buckets hold one point each, and
-    ``best`` has two.  Int64-safe sets of ``_NUMPY_MIN_POINTS`` or more
-    find them all at once (``_slope_tied_anchors``); other sets test each
-    anchor as the scan reaches it, and scan one whose division overflows.
+    ``best`` has two.  Each anchor is tested as the scan reaches it, and
+    one whose division overflows is scanned.
     """
     if len(ps) < 2:
         raise ValueError("max_collinear needs at least 2 points")
     pts, coords = _sorted_coords(ps)
     scale = slope_scale(coords)
     n = len(pts)
-    if n >= _NUMPY_MIN_POINTS and _int64_safe(coords):
-        tied = _slope_tied_anchors(coords).__getitem__
-    else:
-        tied = partial(_float_slope_tied, coords)
     best: list[int] = [0, 1]
     for i in range(n - 1):
         if n - i <= len(best):
             break
-        if not tied(i):
+        if not _float_slope_tied(coords, i):
             continue
         groups: dict[Optional[int], list[int]] = {}
         xi, yi = coords[i]
@@ -942,13 +907,12 @@ def find_structure(ps: PointSet, l: int, m: int, n: int) -> Optional[StructureWi
             return StructureWitness(WitnessKind.COLLINEAR_RUN,
                                     run.members[:l])
     pts, coords, X, Y, _ = tables or _detection_tables(ps, False)
-    size = len(pts)
-    cup_best, cup_at = _max_label_pair(X, size)
+    cup_best, cup_at = _max_label_pair(X)
     if cup_best + 1 >= m:
         chain = _chain_backward(coords, X, *cup_at, +1)
         return StructureWitness(WitnessKind.CUP,
                                 PointSet(pts[i] for i in chain[:m]))
-    cap_best, cap_at = _max_label_pair(Y, size)
+    cap_best, cap_at = _max_label_pair(Y)
     if cap_best + 1 >= n:
         chain = _chain_backward(coords, Y, *cap_at, -1)
         return StructureWitness(WitnessKind.CAP,

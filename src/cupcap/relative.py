@@ -536,7 +536,7 @@ def _relative_chains(order: Sequence[int],
                 inner[j][k], outer[j][k] = ti, to
 
     def witness(table: list[list[int]], sign: int) -> list[int]:
-        _, end = _max_label_pair(table, n)
+        _, end = _max_label_pair(table)
         chain = _chain_backward(c, table, *end, sign) if end else [0]
         return [order[i] for i in chain]
 

@@ -406,7 +406,7 @@ def relative_chain_dp(order, coords, verts, sign, pair_ok=None):
                     if T[i][j] >= t and int_cross(c[i], c[j], c[k]) * sign > 0:
                         t = T[i][j] + 1
                 T[j][k] = t
-    _, best_pair = _max_label_pair(T, n)
+    _, best_pair = _max_label_pair(T)
     if best_pair is None:
         return T, [order[0]]
     return T, [order[i] for i in _chain_backward(c, T, *best_pair, sign)]

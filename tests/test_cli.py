@@ -574,6 +574,20 @@ assert main(["fat-cap", "--in", r"{src}", "--k", "4", "--budget", "5",
              "--report", r"{tmp_path / 'fc.json'}"]) == 0
 """)
 
+    def test_collinear_scan_skips_numpy(self):
+        # 253 seeded 20-bit points with a planted 4-point run, a set the
+        # int64 label tables would take: max_collinear is one pure-Python
+        # scan at every size and coordinate range
+        assert not self.numpy_loaded("""
+import random
+from cupcap import PointSet, max_collinear
+rng = random.Random(253)
+pts = {(1000 + 7 * k, 2000 + 11 * k) for k in range(4)}
+while len(pts) < 253:
+    pts.add((rng.getrandbits(20), rng.getrandbits(20)))
+assert len(max_collinear(PointSet.of(sorted(pts)))) == 4
+""")
+
     def test_int64_tables_of_forty_points_load_numpy(self):
         assert self.numpy_loaded("""
 import random

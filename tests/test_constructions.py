@@ -221,9 +221,19 @@ class TestMatchesFractionReference:
             combine_flat(PointSet.of([(0, 0), (0, 1)]),
                          PointSet.of([(3, 2)]))
 
+    def test_equal_x_off_the_hull_never_verifies(self):
+        # (1, 0) and (1, 1) have equal x, and (1, 0) is no hull vertex;
+        # the right part lies right of their upward line, on the side the
+        # check forbids, so the part is refused like a vertical hull pair
+        with pytest.raises(ConstructionError,
+                           match="did not verify.*equal x"):
+            combine_flat(PointSet.of([(0, 0), (1, 0), (1, 1), (2, 0)]),
+                         PointSet.of([(0, 0), (1, 1)]))
+
     def test_one_placement_is_checked(self, monkeypatch):
-        # the analytic scale separates parts with distinct x, so a part
-        # with a vertical hull pair fails on its first and only check
+        # the analytic scale separates parts with distinct x, so each
+        # combine checks its one placement; a part with a vertical pair is
+        # refused before any placement
         calls = []
 
         def counted(hu, hl, want_sign):
@@ -234,6 +244,9 @@ class TestMatchesFractionReference:
         with pytest.raises(ConstructionError, match="equal x"):
             combine_flat(PointSet.of([(0, 0), (1, 5)]),
                          PointSet.of([(3, 2), (3, 4)]))
+        assert calls == []
+        combine_flat(PointSet.of([(0, 0), (1, 5)]),
+                     PointSet.of([(3, 2), (4, 4)]))
         assert calls == [1, -1]
         calls.clear()
         build_free_set(4, 6, 6)

@@ -176,9 +176,10 @@ class TestMaxCollinear:
 
     @pytest.mark.parametrize("kind", ["grid", "vertical", "float_tie",
                                       "general"])
-    def test_int64_prefilter_matches_python_path(self, kind):
-        # (x, y) -> (x, 2**40 * y + x) keeps the (x, y) order and every
-        # line, and leaves coordinates no int64 kernel takes; members map
+    def test_witness_kept_under_line_preserving_map(self, kind):
+        # the one scan, on a set in the label tables' int64 range and on
+        # its image under (x, y) -> (x, 2**40 * y + x), which keeps the
+        # (x, y) order and every line and leaves that range; members map
         # back to give the same witness, tie-breaks included
         rng = random.Random(29)
         if kind == "grid":
