@@ -3,7 +3,9 @@
 All values are exact rationals (or exact integers).  The constants ``c``,
 ``c1``, ``big_c``, and ``epsilon`` are free configuration parameters: the
 bounds that depend on them are reported "conditional on the configured
-constants" and never asserted as unconditional facts.
+constants" and never asserted as unconditional facts.  Only ``c`` and
+``big_c`` enter a bound; ``c1`` and ``epsilon`` are validated and written
+into ``bound_table``'s ``config``, and nothing else reads them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class BoundsConfig:
     """Free constants for the conditional bounds.
 
     Defaults are placeholders for experimentation; nothing in the library
-    treats them as proven values.
+    treats them as proven values.  ``c1`` and ``epsilon`` enter no bound:
+    they are only validated and reported in ``bound_table``'s ``config``.
     """
 
     c: Fraction = Fraction(100)        # cup/cap upper bound multiplier

@@ -3,8 +3,10 @@
 Cups, caps, collinear runs, maximum convex-position subsets, and the
 pair-label / grid-poset down-set machinery built on top of the cup/cap
 dynamic program.  One backward walker, ``_chain_backward``, takes cup, cap,
-convex-polygon and relative-chain witnesses out of their pair tables, and
-one integer turn test, ``_chain_sign``, tells cups from caps.
+convex-polygon and relative-chain witnesses out of their pair tables (the
+lexicographically smallest ``longest_cup``/``longest_cap`` witness on the
+reflected tables, scanning down), and one integer turn test,
+``_chain_sign``, tells cups from caps.
 
 Conventions:
 
@@ -418,7 +420,8 @@ def _detection_tables(ps: PointSet, reflected: bool) -> _Tables:
     With ``reflected`` the tables are those of ``[(-x, y) for x, y in
     reversed(coords)]``.  Reflection keeps cups and caps and reverses the
     order, so the longest cup starting at (i, j) has
-    ``XR[n-1-j][n-1-i] + 1`` points."""
+    ``XR[n-1-j][n-1-i] + 1`` points; ``_longest_chain`` walks its witness
+    back on them."""
     _check_table_points(len(ps))
     pts, coords = _sorted_distinct_x(ps)
     X, Y, collinear = _label_tables([(-x, y) for x, y in reversed(coords)]
@@ -464,44 +467,29 @@ def is_collinear_run(points: Sequence[Point]) -> bool:
     return all(int_cross(c[0], c[1], r) == 0 for r in c[2:])
 
 
-def _lexmin_chain(coords, reflected, sign: int) -> list[int]:
-    """Lexicographically smallest maximum chain, by greedy extension.
-
-    ``reflected`` is the reflected table for the chain kind: the
-    longest chain beginning with the pair (i, j) has
-    ``reflected[n-1-j][n-1-i] + 1`` points.  The first pair is the first
-    of maximum count in lexicographic order; the greedy then minimizes each
-    successive index subject to completing a maximum chain.
-    """
-    n = len(coords)
-    last = n - 1
-    best, first = 2, (0, 1)
-    for i in range(last):
-        for j in range(i + 1, n):
-            count = reflected[last - j][last - i] + 1
-            if count > best:
-                best, first = count, (i, j)
-    chain = list(first)
-    for _ in range(best - 2):
-        u, v = chain[-2], chain[-1]
-        need = reflected[last - v][last - u] - 1
-        for w in range(v + 1, n):
-            if (int_cross(coords[u], coords[v], coords[w]) * sign > 0
-                    and reflected[last - w][last - v] == need):
-                chain.append(w)
-                break
-        else:  # pragma: no cover - table consistency guarantees extension
-            raise AssertionError("chain extension failed")
-    return chain
-
-
 def _longest_chain(ps: PointSet, kind: WitnessKind,
                    sign: int) -> StructureWitness:
+    """The lexicographically smallest maximum chain, in x-order indices.
+
+    It is walked back on the reflected tables, whose index r is point
+    n - 1 - r: reflection keeps cups and caps, reversal and reflection
+    each flip a turn, so the turn signs hold too.  Read there, the
+    smallest first index is the largest last one, so the walk starts at
+    the pair holding the maximum with the largest right, then left, index
+    (every label is 1 in the lower triangle and the last row), and each
+    step back takes the largest predecessor."""
     if len(ps) < 2:
         raise ValueError(f"longest_{kind.value} needs at least 2 points")
     pts, coords, XR, YR, _ = _detection_tables(ps, True)
-    chain = _lexmin_chain(coords, XR if sign > 0 else YR, sign)
-    return StructureWitness(kind, PointSet(pts[i] for i in chain))
+    table = XR if sign > 0 else YR
+    top = max(map(max, table))
+    n = len(pts)
+    end = next((a, b) for b in range(n - 1, 0, -1)
+               for a in range(b - 1, -1, -1) if table[a][b] == top)
+    chain = _chain_backward([(-x, y) for x, y in reversed(coords)], table,
+                            *end, sign, descending=True)
+    return StructureWitness(kind, PointSet(pts[n - 1 - r]
+                                           for r in reversed(chain)))
 
 
 def longest_cup(ps: PointSet) -> StructureWitness:
@@ -861,18 +849,22 @@ def enumerate_downsets(a: int, b: int) -> list[DownSet]:
 # combined search
 
 
-def _chain_backward(coords, table, i: int, j: int, sign: int) -> list[int]:
+def _chain_backward(coords, table, i: int, j: int, sign: int, *,
+                    descending: bool = False) -> list[int]:
     """A maximum chain ending at the pair (i, j), walked backward greedily
     through a pair table of chain lengths ending at each pair: the cup/cap
-    label tables, ``max_convex_subset``'s polygon table in fan order, or
-    either table of ``relative._relative_chains`` in radial order.
+    label tables, forward or reflected, ``max_convex_subset``'s polygon
+    table in fan order, or either table of ``relative._relative_chains`` in
+    radial order.
 
     Each step takes the smallest h that turns ``sign`` at (h, i, j) and
-    holds one less than (i, j); the walk stops at a pair holding 1.
+    holds one less than (i, j), or the largest with ``descending``, which
+    ``_longest_chain`` walks the reflected tables with; the walk stops at a
+    pair holding 1.
     """
     chain = [j, i]
     while table[i][j] > 1:
-        for h in range(i):
+        for h in (range(i - 1, -1, -1) if descending else range(i)):
             if (int_cross(coords[h], coords[i], coords[j]) * sign > 0
                     and table[h][i] == table[i][j] - 1):
                 chain.append(h)

@@ -109,6 +109,17 @@ def brute_longest_cap(pts) -> int:
     return max(_max_subset(pts, is_cap_seq), 2 if len(pts) >= 2 else 1)
 
 
+def brute_lexmin_chain(pts, sign: int) -> tuple[int, ...]:
+    """The lexicographically first maximum cup (sign +1) or cap (-1), as
+    indices of the points in x-order: the first index tuple of
+    ``combinations`` at the brute-force maximum size that passes."""
+    pts = sorted(pts, key=lambda p: p.x)
+    is_chain = is_cup_seq if sign > 0 else is_cap_seq
+    size = (brute_longest_cup if sign > 0 else brute_longest_cap)(pts)
+    return next(sub for sub in combinations(range(len(pts)), size)
+                if is_chain([pts[i] for i in sub]))
+
+
 def brute_max_collinear(pts) -> int:
     pts = list(pts)
     best = min(len(pts), 2)

@@ -416,6 +416,15 @@ class TestPlot:
         assert run("plot", "--in", str(out), "--svg",
                    str(tmp_path / "z.svg"), "--highlight", "99") == 2
 
+    def test_malformed_highlight_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.pts"
+        run("gen-x", "3", "4", "4", "--out", str(out))
+        svg = tmp_path / "z.svg"
+        assert run("plot", "--in", str(out), "--svg", str(svg),
+                   "--highlight", "1,x") == 2
+        assert "malformed highlight list" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_empty_set_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.pts"
         empty.write_text("espts v1\n")
@@ -455,8 +464,9 @@ class TestRunConfig:
         ("c = 1/0", "zero denominator"),
         ("sample_budget = 0", "sample_budget must be at least 1, got 0"),
         ("search_budget = -2", "search_budget must be at least 1, got -2"),
+        ("seed 3", "expected key=value"),
     ], ids=["unknown_key", "bad_int", "zero_denominator",
-            "sample_budget_zero", "search_budget_negative"])
+            "sample_budget_zero", "search_budget_negative", "no_equals"])
     def test_cli_rejects_bad_config(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# comment\n{text}\n")

@@ -10,8 +10,9 @@ from cupcap import (ConstructionError, Point, PointSet, build_base_capfree,
                     cup_cap_threshold, free_set_size_bound, longest_cap_size,
                     longest_cup_size, max_collinear, normalize_integer_coords,
                     orientation, verify_construction)
-from cupcap.constructions import (_arc_anchors, _blocks_pairwise_ok,
-                                  _free_part, _int_hulls_side)
+from cupcap.constructions import (_arc_anchors, _base_capfree,
+                                  _base_cupfree, _blocks_pairwise_ok,
+                                  _combine, _free_part, _int_hulls_side)
 from cupcap.geom import cross_sign, int_coords, int_cross, int_hull
 
 import oracles
@@ -252,6 +253,17 @@ class TestMatchesFractionReference:
         build_free_set(4, 6, 6)
         assert len(calls) == 2 * 9  # one combine per (m, n) in 4..6
 
+    def test_failing_placement_raises(self, monkeypatch):
+        # unscaled, the right part sits one unit above the left part, and
+        # the line through the left part's last two points, of slope 3,
+        # passes above the right part's last point: the check fails
+        a, b = _base_cupfree(3, 5), _base_capfree(3, 5)
+        monkeypatch.setattr("cupcap.constructions._halvings",
+                            lambda num, den: 0)
+        with pytest.raises(ConstructionError,
+                           match="^flat placement did not verify$"):
+            _combine((a, int_hull(a)), (b, int_hull(b)))
+
 
 class TestBuildFreeSet:
     def test_3_4_4(self):
@@ -389,6 +401,13 @@ class TestBuildConvexFree:
         sub = build_convex_free(3, 6)[:12]
         assert len(max_convex_subset(sub)) == \
             oracles.brute_max_convex_subset(list(sub))
+
+    def test_blocks_check_refuses_each_condition(self):
+        # a line through block 0 passes below block 1
+        assert not _blocks_pairwise_ok([[(0, 10), (1, 0)], [(2, 5), (3, 4)]])
+        # one point a block: no line to test, but a collinear triple
+        assert not _blocks_pairwise_ok([[(0, 10)], [(5, 5)], [(10, 0)]])
+        assert _blocks_pairwise_ok([[(0, 10)], [(5, 6)], [(10, 0)]])
 
 
 class TestAffineRobustness:

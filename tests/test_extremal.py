@@ -76,6 +76,22 @@ class TestLongestCupCap:
         w = longest_cup(ps)
         assert list(w.members) == [pt(0, 0), pt(1, 3), pt(3, 12)]
 
+    def test_witnesses_are_brute_force_lexmin(self):
+        # small grids make ties and collinear triples common; on one line
+        # every cup and cap is a pair, and the first is (0, 1)
+        rng = random.Random(28)
+        sets = [PointSet.of([(k, 3 * k) for k in range(7)])]
+        for _ in range(200):
+            n = rng.randrange(3, 12)
+            sets.append(random_point_set(rng, n, span=rng.randint(max(4, n),
+                                                                  12)))
+        for ps in sets:
+            pts = sorted(ps, key=lambda p: p.x)
+            for sign, longest in ((1, longest_cup), (-1, longest_cap)):
+                want = [pts[i] for i in oracles.brute_lexmin_chain(pts, sign)]
+                assert list(longest(ps).members) == want
+        assert list(longest_cup(sets[0]).members) == [pt(0, 0), pt(1, 3)]
+
     def test_witnesses_reverify(self):
         rng = random.Random(11)
         for _ in range(25):

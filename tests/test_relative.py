@@ -229,6 +229,19 @@ def chain_with_probes(draw, big):
     return draw(st.permutations(chain)), probes, on_lines
 
 
+class TestConvexBody:
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ConvexBody(()), "at least one point"),
+        (lambda: ConvexBody((pt(0, 0), pt(1, 1), pt(2, 2))),
+         "strict convex position"),
+        (lambda: ConvexBody.segment(pt(1, 1), pt(1, 1)),
+         "endpoints must differ"),
+    ], ids=["empty", "collinear_polygon", "degenerate_segment"])
+    def test_degenerate_body_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestSupportRegions:
     def test_four_regions_and_probe(self):
         regs = support_regions(CAP4)
@@ -465,6 +478,11 @@ class TestTransversal:
         assert not rep.ok
         assert rep.violations == 1
         assert rep.counterexample == (pt(0, 0), pt(1, 1), pt(2, 2))
+
+    def test_report_dict_holds_counterexample(self):
+        groups = [[pt(0, 0)], [pt("1/2", "1/2")], [pt(1, 1)]]
+        d = check_selection_tuples(groups, sample_budget=10, seed=0).as_dict()
+        assert d["counterexample"] == [["0", "0"], ["1/2", "1/2"], ["1", "1"]]
 
     def test_checker_flags_violation_in_sampling_mode(self):
         groups = [[pt(0, 0)], [pt(1, 1)], [pt(2, 2)],
