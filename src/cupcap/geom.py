@@ -178,6 +178,20 @@ class PointSet(Sequence):
             return PointSet(self._pts[i])
         return self._pts[i]
 
+    # the tuple's own methods, instead of Sequence mixins that call
+    # __getitem__ once per element
+    def __iter__(self):
+        return iter(self._pts)
+
+    def __reversed__(self):
+        return reversed(self._pts)
+
+    def __contains__(self, p) -> bool:
+        return p in self._pts
+
+    def index(self, p, *bounds) -> int:
+        return self._pts.index(p, *bounds)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, PointSet) and self._pts == other._pts
 

@@ -20,9 +20,13 @@ axis, the tangent order and the chain DP's turn signs on that one integer
 array (``_radial``, ``_relative_chains``).  One pass fills the inner-cap
 and outer-cup pair tables of edge counts, as the cup/cap label tables
 give both, and ``extremal._max_label_pair`` and ``_chain_backward`` read
-witnesses out of them.  Support regions are turn signs against a cup's or
-cap's edges on one such array, as bitmasks on Python ints: each edge
-line gives the points strictly left and strictly right of it
+witnesses out of them.  ``longest_inner_cap`` and ``longest_outer_cup``
+share that pass through one two-entry memo, ``_relative_pass``, as
+``extremal._detection_tables`` shares the label tables, so asking for
+both chains of one (set, body) runs it once.  ``conv_order`` filters by
+each hull's tangent edges first.  Support regions are turn signs against
+a cup's or cap's edges on one such array, as bitmasks on Python ints:
+each edge line gives the points strictly left and strictly right of it
 (``_side_masks``), and each region is the AND of three of those
 (``_support_masks``), with the chain's turn sign from
 ``extremal._chain_sign``.  One exact path serves every coordinate size,
@@ -386,9 +390,19 @@ def _line_misses(a: tuple[int, int], b: tuple[int, int],
     and b strictly separated from the body K, whether they are mutually
     separable.  If the line misses K, conv(K + b) meets it only in b; if it
     meets K, it does so outside the segment ab, so one point lies between
-    the other and K."""
-    side = int_cross(a, b, body[0])
-    return all(int_cross(a, b, v) * side > 0 for v in body)
+    the other and K.  With (dx, dy) = b - a, ``int_cross(a, b, v)`` is
+    w - t for w = dx*v.y - dy*v.x and t that form at a; the first vertex
+    on the line or on the other side ends the test."""
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    t = dx * ay - dy * ax
+    x, y = body[0]
+    above = dx * y - dy * x > t
+    for x, y in body:
+        w = dx * y - dy * x
+        if w == t or (w > t) != above:
+            return False
+    return True
 
 
 def _radial(p: Sequence[Point], body: ConvexBody
@@ -543,17 +557,29 @@ def _relative_chains(order: Sequence[int],
     return witness(inner, -1), witness(outer, 1), inner, outer
 
 
+@functools.lru_cache(maxsize=2)
+def _relative_pass(p: PointSet, body: ConvexBody
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The longest inner-cap and outer-cup of p around the body, as indices
+    into p, from one ``_strict_radial`` and one ``_relative_chains`` pass.
+
+    The two entries keep the last two (set, body) pairs, so
+    ``longest_inner_cap`` and ``longest_outer_cup`` on one pair, in either
+    order, share one pass.  A rejected instance raises on every call: an
+    exception is not cached."""
+    inner, outer, _, _ = _relative_chains(*_strict_radial(p, body)[:2])
+    return tuple(inner), tuple(outer)
+
+
 def longest_inner_cap(p: PointSet, body: ConvexBody) -> StructureWitness:
     """Maximum inner-cap with respect to the body, via the radial pair DP."""
-    chain = _relative_chains(*_strict_radial(p, body)[:2])[0]
     return StructureWitness(WitnessKind.INNER_CAP,
-                            PointSet(p[i] for i in chain))
+                            PointSet(p[i] for i in _relative_pass(p, body)[0]))
 
 
 def longest_outer_cup(p: PointSet, body: ConvexBody) -> StructureWitness:
-    chain = _relative_chains(*_strict_radial(p, body)[:2])[1]
     return StructureWitness(WitnessKind.OUTER_CUP,
-                            PointSet(p[i] for i in chain))
+                            PointSet(p[i] for i in _relative_pass(p, body)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +613,10 @@ def conv_order(p: PointSet, body: ConvexBody) -> PartialOrderInstance:
     array, and each of its closed half-planes (``int_halfplanes``) filters
     the remaining candidates in one pass, exactly, on Python ints of any
     size: O(n^2 * (v + 1)) integer operations for a body of v vertices.
+    When p_k is a vertex of a hull of three or more, its two tangent edges
+    filter first: they cut the most, while an edge of K alone keeps every
+    point beyond it.  Each filter keeps index order and the result is
+    their intersection, so the plane order changes no output.
     The predecessors of p_k become one bitmask, ``mask[k]``.
 
     The relation is transitive: p_i in conv(K + p_j) and p_j in
@@ -610,8 +640,15 @@ def conv_order(p: PointSet, body: ConvexBody) -> PartialOrderInstance:
     ys = [y for _, y in c[:n]]
     belows = []
     for k in range(n):
+        q = c[k]
         below = range(n)
-        for a, b, t in int_halfplanes(int_hull([*verts, c[k]])):
+        hull = int_hull([*verts, q])
+        planes = int_halfplanes(hull)
+        if len(hull) > 2 and q in hull:
+            # the tangent edges m - 1 and m, into and out of q, go first
+            m = hull.index(q) - 1
+            planes = planes[m:] + planes[:m]
+        for a, b, t in planes:
             below = [i for i in below if a * xs[i] + b * ys[i] >= t]
         below.remove(k)
         belows.append(below)

@@ -265,3 +265,28 @@ class TestPointSet:
         ps = PointSet.of([(2, 0), (1, 0)])
         assert ps[0] == pt(2, 0)
         assert ps.sorted_by_x()[0] == pt(1, 0)
+
+    def test_sequence_methods_use_the_tuple(self, monkeypatch):
+        ps = PointSet.of([(0, 0), (1, 2), (2, 1), (3, 5)])
+        pts = ps.points
+
+        def no_getitem(self, i):
+            raise AssertionError("iteration went through __getitem__")
+
+        monkeypatch.setattr(PointSet, "__getitem__", no_getitem)
+        assert list(ps) == list(pts)
+        assert list(reversed(ps)) == list(reversed(pts))
+        # an equal point that is not the stored object is a member
+        twin = Point(Fraction(2), Fraction(1))
+        assert twin is not pts[2] and twin in ps
+        assert pt(9, 9) not in ps
+        assert ps.index(twin) == pts.index(twin) == 2
+        for start, stop in ((0, 4), (1, 3), (2, 3), (-3, -1), (0, 99)):
+            assert ps.index(pt(2, 1), start, stop) == \
+                pts.index(pt(2, 1), start, stop)
+        assert ps.index(pt(3, 5), 1) == pts.index(pt(3, 5), 1)
+        for args in ((pt(9, 9),), (pt(0, 0), 1), (pt(3, 5), 0, 3)):
+            with pytest.raises(ValueError):
+                pts.index(*args)
+            with pytest.raises(ValueError):
+                ps.index(*args)

@@ -15,8 +15,8 @@ from cupcap import (AvoidanceError, ConvexBody, OrderViolation, Point,
                     is_convex_position, longest_inner_cap, longest_outer_cup,
                     populate_support, radial_order, support_regions,
                     transversal_check)
-from cupcap.geom import (convex_hull, cross_sign, int_coords,
-                         point_in_convex_hull)
+from cupcap.geom import (convex_hull, cross_sign, int_coords, int_cross,
+                         int_hull, point_in_convex_hull)
 from cupcap import relative
 from cupcap.relative import (_line_misses, _radial, _relative_chains,
                              _strict_radial)
@@ -744,6 +744,46 @@ class TestClassifyTriple:
                 done += 1
         assert outcomes == {(k, m) for k in BODY_KINDS for m in (True, False)}
 
+    @pytest.mark.parametrize("kind", BODY_KINDS)
+    def test_line_misses_matches_definition(self, kind):
+        """``_line_misses`` against its definition, every body vertex
+        strictly on one side of line ab by ``int_cross``, on seeded lines
+        of small and 70-bit spans, lines through a body vertex, and lines
+        that contain a segment body or a polygon edge."""
+        rng = random.Random(41 + BODY_KINDS.index(kind))
+
+        def draw(span):
+            return (rng.randrange(-span, span), rng.randrange(-span, span))
+
+        def reference(a, b, body):
+            sides = {(int_cross(a, b, v) > 0) - (int_cross(a, b, v) < 0)
+                     for v in body}
+            return sides in ({1}, {-1})
+
+        size = {"point": 1, "segment": 2}.get(kind, 5)
+        outcomes = set()
+        for span in (6, 2**70):
+            bodies = 0
+            while bodies < 10:
+                body = int_hull(draw(span) for _ in range(size))
+                if len(body) < min(size, 3):
+                    continue
+                bodies += 1
+                lines = [(draw(span), draw(span)) for _ in range(30)]
+                lines += [(v, draw(span)) for v in body]
+                u, v = body[0], body[1 % len(body)]
+                d = (v[0] - u[0], v[1] - u[1])
+                lines += [((u[0] - s * d[0], u[1] - s * d[1]),
+                           (u[0] + t * d[0], u[1] + t * d[1]))
+                          for s, t in ((0, 1), (1, 2), (2, 5))]
+                for a, b in lines:
+                    if a == b:
+                        continue
+                    misses = _line_misses(a, b, body)
+                    assert misses == reference(a, b, body), (a, b, body)
+                    outcomes.add(misses)
+        assert outcomes == {True, False}
+
 
 class TestLongestRelativeChains:
     def test_cap_is_inner_cap_from_below(self):
@@ -822,6 +862,58 @@ class TestLongestRelativeChains:
                 pin(chain)
         assert digest.hexdigest() == (
             "dc31b379bbb63092fd304edced51b890210da77df45dc88b5ffef3dfe60bf710")
+
+    def test_both_chains_share_one_pass(self, monkeypatch):
+        """Inner then outer, and outer then inner, on one (set, body) run
+        the chain pass once; another body or another set runs it again,
+        and the chains equal those of a cold call."""
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return real(*args)
+
+        real = relative._relative_chains
+        monkeypatch.setattr(relative, "_relative_chains", counted)
+        relative._relative_pass.cache_clear()
+        below = ConvexBody.point(pt(3, -40))
+        wide = ConvexBody.segment(pt(2, -40), pt(5, -41))
+        ps = PointSet.of([(0, 0), (1, 4), (3, 5), (5, 4), (6, 0), (2, 2)])
+        other = PointSet.of([(0, 2), (2, 5), (4, 6), (7, 1)])
+        inner = longest_inner_cap(ps, below)
+        outer = longest_outer_cup(ps, below)
+        assert len(passes) == 1
+        longest_outer_cup(ps, wide)
+        longest_inner_cap(ps, wide)
+        assert len(passes) == 2
+        longest_inner_cap(other, wide)
+        longest_outer_cup(other, wide)
+        assert len(passes) == 3
+        relative._relative_pass.cache_clear()
+        assert longest_outer_cup(ps, below) == outer
+        assert longest_inner_cap(ps, below) == inner
+        assert len(passes) == 4
+        assert relative._relative_pass.cache_info().maxsize == 2
+
+    def test_rejection_is_raised_on_every_call(self, monkeypatch):
+        radials = []
+
+        def counted(*args):
+            radials.append(args)
+            return real(*args)
+
+        real = relative._strict_radial
+        monkeypatch.setattr(relative, "_strict_radial", counted)
+        relative._relative_pass.cache_clear()
+        ps = PointSet.of([(0, 1), (0, 5), (3, 2)])
+        body = ConvexBody.point(pt(0, -10))
+        for chain in (longest_inner_cap, longest_outer_cup,
+                      longest_inner_cap):
+            with pytest.raises(AvoidanceError) as err:
+                chain(ps, body)
+            assert err.value.pair == (pt(0, 1), pt(0, 5))
+        assert len(radials) == 3
+        assert relative._relative_pass.cache_info().currsize == 0
 
     def test_one_pass_matches_per_sign_reference(self):
         """Both tables (upper triangles) and both chains of the one pass
