@@ -157,7 +157,9 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
     ps = espts.load_file(args.infile)
     _check_convex_points(len(ps))  # before any table is built
     sheared = shear_distinct_x(ps)
-    # the shear keeps the order, so a sheared witness maps back by index
+    # the shear keeps the (x, y) order (witnesses map back by index), lines
+    # and convex position; a cup or cap may gain one equal-x pair (slope
+    # 1/eps; a chain's slopes are strictly monotone), so one point at most
     unshear = dict(zip(sheared, ps)).__getitem__
     members = {}  # analyzer name -> witness; a skipped one's is ps
     if len(ps) >= 2:

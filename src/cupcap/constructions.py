@@ -289,8 +289,6 @@ def build_free_set(l: int, m: int, n: int) -> PointSet:
     """A set with no l collinear points, no m-cup, and no n-cap, of size at
     least free_set_size_bound(l, m, n); for l == 3 the size is exactly
     binomial(m+n-4, n-2)."""
-    if min(l, m, n) < 3:
-        raise ValueError("l, m, n must all be >= 3")
     _check_size(free_set_size_bound(l, m, n))
     return _point_set(_free_part(l, m, n, {})[0])
 

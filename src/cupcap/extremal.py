@@ -5,8 +5,9 @@ pair-label / grid-poset down-set machinery built on top of the cup/cap
 dynamic program.  One backward walker, ``_chain_backward``, takes cup, cap,
 convex-polygon and relative-chain witnesses out of their pair tables (the
 lexicographically smallest ``longest_cup``/``longest_cap`` witness on the
-reflected tables, scanning down), and one integer turn test,
-``_chain_sign``, tells cups from caps.
+reflected entry of ``_detection_tables``, which carries its own frame,
+scanning down), and one integer turn test, ``_chain_sign``, tells cups from
+caps.
 
 Conventions:
 
@@ -405,8 +406,8 @@ def _check_convex_points(n) -> None:
 
 
 class _Tables(NamedTuple):
-    pts: list[Point]  # in (x, y) order
-    coords: list[tuple[int, int]]  # their int_coords
+    pts: list[Point]  # in the tables' index order
+    coords: list[tuple[int, int]]  # their coordinates in the tables' frame
     X: list  # cup labels, packed rows
     Y: list  # cap labels, packed rows
     collinear: bool  # whether three points are collinear
@@ -414,19 +415,20 @@ class _Tables(NamedTuple):
 
 @lru_cache(maxsize=2)
 def _detection_tables(ps: PointSet, reflected: bool) -> _Tables:
-    """The label tables of a point set; the two entries keep the last
-    set's forward and reflected tables.
+    """The label tables of a point set, with the points and coordinates
+    they index; the two entries keep the last set's forward and reflected
+    tables.
 
-    With ``reflected`` the tables are those of ``[(-x, y) for x, y in
-    reversed(coords)]``.  Reflection keeps cups and caps and reverses the
-    order, so the longest cup starting at (i, j) has
-    ``XR[n-1-j][n-1-i] + 1`` points; ``_longest_chain`` walks its witness
-    back on them."""
+    Forward, the points are in (x, y) order at their ``int_coords``.  The
+    reflected entry carries its own frame: the points reversed, at
+    (-x, y), so index r is forward point n - 1 - r.  Reflection keeps cups
+    and caps and reverses the order, so ``_longest_chain`` walks the
+    lexicographically smallest witness back on it."""
     _check_table_points(len(ps))
     pts, coords = _sorted_distinct_x(ps)
-    X, Y, collinear = _label_tables([(-x, y) for x, y in reversed(coords)]
-                                    if reflected else coords)
-    return _Tables(pts, coords, X, Y, collinear)
+    if reflected:
+        pts, coords = pts[::-1], [(-x, y) for x, y in reversed(coords)]
+    return _Tables(pts, coords, *_label_tables(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +473,7 @@ def _longest_chain(ps: PointSet, kind: WitnessKind,
                    sign: int) -> StructureWitness:
     """The lexicographically smallest maximum chain, in x-order indices.
 
-    It is walked back on the reflected tables, whose index r is point
+    It is walked back on the reflected entry, whose index r is point
     n - 1 - r: reflection keeps cups and caps, reversal and reflection
     each flip a turn, so the turn signs hold too.  Read there, the
     smallest first index is the largest last one, so the walk starts at
@@ -486,10 +488,8 @@ def _longest_chain(ps: PointSet, kind: WitnessKind,
     n = len(pts)
     end = next((a, b) for b in range(n - 1, 0, -1)
                for a in range(b - 1, -1, -1) if table[a][b] == top)
-    chain = _chain_backward([(-x, y) for x, y in reversed(coords)], table,
-                            *end, sign, descending=True)
-    return StructureWitness(kind, PointSet(pts[n - 1 - r]
-                                           for r in reversed(chain)))
+    chain = _chain_backward(coords, table, *end, sign, descending=True)
+    return StructureWitness(kind, PointSet(pts[r] for r in reversed(chain)))
 
 
 def longest_cup(ps: PointSet) -> StructureWitness:
@@ -899,14 +899,10 @@ def find_structure(ps: PointSet, l: int, m: int, n: int) -> Optional[StructureWi
             return StructureWitness(WitnessKind.COLLINEAR_RUN,
                                     run.members[:l])
     pts, coords, X, Y, _ = tables or _detection_tables(ps, False)
-    cup_best, cup_at = _max_label_pair(X)
-    if cup_best + 1 >= m:
-        chain = _chain_backward(coords, X, *cup_at, +1)
-        return StructureWitness(WitnessKind.CUP,
-                                PointSet(pts[i] for i in chain[:m]))
-    cap_best, cap_at = _max_label_pair(Y)
-    if cap_best + 1 >= n:
-        chain = _chain_backward(coords, Y, *cap_at, -1)
-        return StructureWitness(WitnessKind.CAP,
-                                PointSet(pts[i] for i in chain[:n]))
+    for table, sign, size, kind in ((X, 1, m, WitnessKind.CUP),
+                                    (Y, -1, n, WitnessKind.CAP)):
+        best, at = _max_label_pair(table)
+        if best + 1 >= size:
+            chain = _chain_backward(coords, table, *at, sign)[:size]
+            return StructureWitness(kind, PointSet(pts[i] for i in chain))
     return None

@@ -63,9 +63,6 @@ class Point:
     def of(x: CoordLike, y: CoordLike) -> "Point":
         return Point(coord(x), coord(y))
 
-    def translate(self, dx: Fraction, dy: Fraction) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
 
@@ -203,27 +200,23 @@ class PointSet(Sequence):
 
 
 def shear_distinct_x(ps: PointSet) -> PointSet:
-    """Shear (x, y) -> (x + eps*y, y) so that all x-coordinates are distinct.
+    """Shear (x, y) -> (x + eps*y, y) so that all x-coordinates are distinct
+    and the sheared x-order is the input's (x, y) order; a set with distinct
+    x-coordinates is returned unchanged.
 
-    A shear has unit determinant, so it preserves the orientation of every
-    triple exactly; eps only has to dodge the finitely many values at which
-    two points would collide in x.  Returns the input unchanged when the
-    x-coordinates are already pairwise distinct.
+    A shear has unit determinant, so it keeps every turn exactly.  With g
+    the least positive x-gap (1 if none) and h > 0 the y-span (two of the
+    points share an x), eps = g/(2h).  Points of equal x move apart by eps
+    times their y-difference; for x_i < x_j the sheared difference is
+    (x_j - x_i) + eps*(y_j - y_i) >= g - eps*h = g/2 > 0.
     """
     if ps.has_distinct_x():
         return ps
     pts = ps.points
-    # x_i + eps*y_i == x_j + eps*y_j exactly when eps == (x_j - x_i)/(y_i - y_j);
-    # pairs with equal y can never collide (the points are distinct).
-    forbidden = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dy = pts[i].y - pts[j].y
-            if dy != 0:
-                t = (pts[j].x - pts[i].x) / dy
-                if t > 0:
-                    forbidden.append(t)
-    eps = min(forbidden) / 2 if forbidden else Fraction(1)
+    xs = sorted({p.x for p in pts})
+    gap = min((b - a for a, b in zip(xs, xs[1:])), default=Fraction(1))
+    ys = [p.y for p in pts]
+    eps = gap / (2 * (max(ys) - min(ys)))
     return PointSet(Point(p.x + eps * p.y, p.y) for p in pts)
 
 

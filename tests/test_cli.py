@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,9 @@ from cupcap import (BoundsConfig, ConstructionError, PointSet,
                     build_convex_free, build_free_set, max_collinear)
 from cupcap.cli import RunConfig, main
 from cupcap.espts import load_file
+
+import oracles
+from conftest import random_point_set
 
 
 def run(*argv):
@@ -252,6 +256,33 @@ class TestAnalyze:
         f.write_text("espts v1\n0 0\n0 1\n1 0\n2 5\n")
         rep = tmp_path / "r.json"
         assert run("analyze", "--in", str(f), "--report", str(rep)) == 0
+
+    def test_repeated_x_counts_against_brute_force(self, tmp_path):
+        # a shear keeps lines and convex position, so the collinear and
+        # convex counts are the input's own.  Every equal-x pair has
+        # sheared slope 1/eps and a chain's slopes are strictly monotone,
+        # so a reported cup or cap holds at most one such pair: its count
+        # is the input's (distinct-x) maximum or one more, and the maximum
+        # itself when the witness has pairwise distinct x
+        rng = random.Random(30)
+        f, rep = tmp_path / "v.pts", tmp_path / "r.json"
+        longer = 0
+        for _ in range(240):
+            ps = random_point_set(rng, rng.randint(3, 9), rng.randint(3, 6),
+                                  distinct_x=False)
+            f.write_text("espts v1\n" + "".join(f"{p.x} {p.y}\n" for p in ps))
+            assert run("analyze", "--in", str(f), "--report", str(rep)) == 0
+            payload = json.loads(rep.read_text())
+            assert payload["max_collinear"] == oracles.brute_max_collinear(ps)
+            assert payload["max_convex_subset"] == \
+                oracles.brute_max_convex_subset(ps)
+            for name, brute in (("longest_cup", oracles.brute_longest_cup),
+                                ("longest_cap", oracles.brute_longest_cap)):
+                extra = payload[name] - brute(ps)
+                xs = [x for x, _ in payload["witnesses"][name]]
+                assert extra in ((0,) if len(set(xs)) == len(xs) else (0, 1))
+                longer += extra
+        assert longer  # the one-point excess does occur
 
     @pytest.mark.parametrize("pts, lmn, structure", [
         ("0 0\n0 1\n0 2\n", "333", "collinear_run"),

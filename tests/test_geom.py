@@ -141,6 +141,21 @@ class TestShear:
                         orientation(out[i], out[j], out[k])
 
 
+    @given(st.lists(st.tuples(st.integers(-4, 4).map(lambda k: Fraction(k, 3)),
+                              st.integers(-8, 8)),
+                    min_size=2, max_size=10, unique=True))
+    def test_sheared_x_order_is_the_input_xy_order(self, pairs):
+        # analyze maps sheared witnesses back by index, so they do not
+        # depend on eps as long as this order holds
+        assume(len({x for x, _ in pairs}) < len(pairs))
+        ps = PointSet.of(pairs)
+        out = shear_distinct_x(ps)
+        assert out.has_distinct_x()
+        n = len(ps)
+        assert sorted(range(n), key=lambda i: out[i].x) == \
+            sorted(range(n), key=lambda i: (ps[i].x, ps[i].y))
+
+
 class TestConvexHull:
     def test_grid_corners_only(self):
         grid = [pt(x, y) for x in range(3) for y in range(3)]
