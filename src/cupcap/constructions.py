@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .bounds import convex_forcing_lower, free_set_size_bound
@@ -109,27 +108,48 @@ def _min_gap(values: Sequence[int]) -> Optional[int]:
     return min((b - a for a, b in zip(v, v[1:])), default=None)
 
 
-def _int_hulls_side(hu: Sequence[tuple[int, int]],
-                    hl: Sequence[tuple[int, int]], want_sign: int) -> bool:
-    """Exact check that every strict hull vertex r of the lower part lies
-    strictly on one side of every line through two strict hull vertices
-    p < q (in (x, y) order) of the upper part: the turn (p, q, r) has sign
-    ``want_sign``.  ``hu`` and ``hl`` are the parts' ``int_hull``s in one
-    integer frame; a positive per-axis map keeps the (x, y) order and turn
-    signs.
+def _blocks_ok(hulls: Sequence[Sequence[tuple[int, int]]], sign: int) -> bool:
+    """Exact check of parts placed left to right, given by their
+    ``int_hull``s in one integer frame: every line through two hull
+    vertices of the parts before one part has each hull vertex of that
+    part strictly on side ``sign`` (the turn (p, q, r), p left of q, has
+    that sign), and every line through two of its hull vertices has each
+    hull vertex of an earlier part strictly on side -sign.  The lines
+    across two earlier parts make every triple of three parts turn with
+    ``sign``.  A positive per-axis map keeps the (x, y) order and turn
+    signs, so any such frame gives the same answer.
 
-    Only hull vertices are tested.  That covers every point of the lower
-    part (the turn is affine in r), but not every pair of the upper; the
-    callers' slope bounds cover every pair as well, and both callers take
-    only parts with pairwise distinct x (``_combine``,
-    ``build_convex_free``).
+    Only consecutive x-pairs are tested, and that decides every line.
+    Let a_1, ..., a_k, r have strictly increasing x.  For a < a' < r,
+    slope(a, r) is a positive-weight average of slope(a, a') and slope(a',
+    r), with weights x(a') - x(a) and x(r) - x(a'); so the turn (a, a', r)
+    has sign ``sign`` exactly when sign * slope(a', r) > sign * slope(a,
+    r).  If that holds for each consecutive pair, sign * slope(a_i, r)
+    increases strictly with i, and the turn (a_i, a_j, r) has sign
+    ``sign`` for every i < j.  For r left of b_1, ..., b_k, the turn (b,
+    b', r) is the turn (r, b, b'), and the same averages over slope(r, b)
+    give the mirror.  So the check needs x to increase strictly along the
+    concatenated sorted hulls, and returns False where it does not.
+
+    Only hull vertices are tested.  That covers every point tested
+    against a line (the turn is affine in it), but not every pair of
+    points; the callers' slope bounds cover every pair as well
+    (``_combine``, ``build_convex_free``).
     """
-    for p, q in combinations(hu, 2):
-        if p > q:
-            p, q = q, p
-        for r in hl:
-            if int_cross(p, q, r) * want_sign <= 0:
+    hulls = [sorted(hull) for hull in hulls]
+    pts = [p for hull in hulls for p in hull]
+    if any(p[0] >= q[0] for p, q in zip(pts, pts[1:])):
+        return False
+    k = 0
+    for hull in hulls:
+        seen = pts[:k]  # the earlier parts' hull vertices
+        for p, q in zip(seen, seen[1:]):
+            if any(int_cross(p, q, r) * sign <= 0 for r in hull):
                 return False
+        for p, q in zip(hull, hull[1:]):
+            if any(int_cross(p, q, r) * sign >= 0 for r in seen):
+                return False
+        k += len(hull)
     return True
 
 
@@ -197,9 +217,10 @@ def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
     its vertices are points of the union, so normalising them with the
     union leaves the union's minima and gcds unchanged.
 
-    One placement is checked, at the first k, and it passes on parts with
-    pairwise distinct x.  Let delta be the least gap between distinct x
-    of one part, H = max(ha, hb, uy) and W = wa + ux + wb; k is the least
+    One placement is checked, at the first k, by ``_blocks_ok`` on the
+    two hulls with side +1, and it passes on parts with pairwise distinct
+    x.  Let delta be the least gap between distinct x of one part, H =
+    max(ha, hb, uy) and W = wa + ux + wb; k is the least
     with uy * 2^k * delta >= 2*H*W, and b's lowest point lies G = uy *
     2^k above a's highest.  A pair p, q of a with distinct x has |slope|
     <= ha / delta, and every point r of b lies at most W to the right
@@ -226,8 +247,7 @@ def _combine(a: tuple[Pairs, Pairs], b: tuple[Pairs, Pairs],
     dx = max(axs) + ux - min(bxs)
     lift = max(ays) - min(bys) + (uy << k)
     lifted = [(x + dx, y + lift) for x, y in hull_b]
-    if not (_int_hulls_side(hull_a, lifted, 1)
-            and _int_hulls_side(lifted, hull_a, -1)):
+    if not _blocks_ok([hull_a, lifted], 1):
         raise ConstructionError("flat placement did not verify")
     hull = int_hull(hull_a + lifted)
     c = int_normalize(axs + [x + dx for x in bxs] + [x for x, _ in hull],
@@ -244,9 +264,10 @@ def combine_flat(a: PointSet, b: PointSet) -> PointSet:
     point of the left part.  Consequently a cup can use at most one
     right-part point after two left-part points (and the mirror for caps),
     and no collinear triple spans both parts.  The exact check
-    (``_int_hulls_side``) tests only lines through two hull vertices of
-    one part, against every point of the other; ``--cert``
-    (``verify_construction``) recomputes every bound of the result.
+    (``_blocks_ok``) tests only lines through two hull vertices of one
+    part, against every point of the other, and decides them from the
+    consecutive x-pairs of each hull; ``--cert`` (``verify_construction``)
+    recomputes every bound of the result.
 
     The vertical scale t = 2^-k comes from an analytic slope bound
     (``_combine``).  It separates every pair of points, not only the
@@ -326,37 +347,6 @@ def _arc_anchors(t: int) -> tuple[Pairs, int, int]:
     return anchors, den, _halvings(gap, 4 * den)
 
 
-def _blocks_pairwise_ok(hulls: Sequence[Sequence[tuple[int, int]]]) -> bool:
-    """Exact betweenness checks on the hulls of blocks ordered top-left to
-    bottom-right, in one integer frame:
-
-    * lines through two hull vertices of block i pass strictly above every
-      block j > i,
-    * lines through two hull vertices of block j pass strictly below every
-      block i < j,
-    * triples taken from three distinct blocks always turn right
-      (so cross-block collinearity is impossible and one-per-block
-      selections follow the cap-shaped arc).
-
-    Each condition is affine in the point tested against a line, so hull
-    vertices cover every point there; the first two test only lines
-    through hull vertices, but for the arc assembly's blocks every line
-    through two points of a block passes as well (``build_convex_free``).
-    ``--cert`` (``verify_construction``) recomputes every bound of the
-    result.
-    """
-    for hi, hj in combinations(hulls, 2):
-        if not (_int_hulls_side(hi, hj, -1) and _int_hulls_side(hj, hi, 1)):
-            return False
-    for hi, hj, hk in combinations(hulls, 3):
-        for p in hi:
-            for q in hj:
-                for r in hk:
-                    if int_cross(p, q, r) >= 0:
-                        return False
-    return True
-
-
 def build_convex_free(l: int, n: int) -> PointSet:
     """A set of exactly (3l-1)*2^(n-5) points with no l collinear members
     and no n points in convex position.
@@ -374,22 +364,23 @@ def build_convex_free(l: int, n: int) -> PointSet:
     lcm(widths) * den and y by 2^(2e) * lcm(heights) * den, where den is
     the anchors' common denominator.
 
-    One placement is checked, as no (l, n) under the point cap fails it.
-    In its bounding box scaled to 1 x 1, no pair of a prefix of a
-    ``_free_part`` list falls steeper than 3.  Base cupfree sets rise.  A
-    base capfree prefix lies on chords of the parabola (x, -x^2) from
-    near its vertex, none over 3 times as steep as its first-to-last
-    chord.  A ``_combine`` prefix is one of the left part or spans a width
-    of at most W and a height of at least G >= 2*H*W/delta; pairs across
-    the parts rise, and a pair in one part falls at most
-    H/delta <= G/(2W), which is 1/2 in the box.  So a line through two
-    points of a block falls at most 3s per unit of x.
-    Anchors u < v with u >= h = 1/(t+1) have dy = dx*(u+v)/(1-uv) >=
-    3h*dx, and s <= h/2, 4s <= dx, so dy > 3s*(dx + s) + s^2: the line
-    passes above every later box and, mirrored, below every earlier one.
-    A turn is affine in each point, so the triples of three blocks turn
-    right if the 64 corner triples of their boxes do; the tests check
-    those for t = 3..18, every n the cap admits.
+    One placement is checked, by ``_blocks_ok`` on the blocks' hulls with
+    side -1, as no (l, n) under the point cap fails it; the bounds below
+    cover every pair of points, not only hull vertices.  In its bounding
+    box scaled to 1 x 1, no pair of a prefix of a ``_free_part`` list
+    falls steeper than 3.  Base cupfree sets rise.  A base capfree prefix
+    lies on chords of the parabola (x, -x^2) from near its vertex, none
+    over 3 times as steep as its first-to-last chord.  A ``_combine``
+    prefix is one of the left part or spans a width of at most W and a
+    height of at least G >= 2*H*W/delta; pairs across the parts rise, and
+    a pair in one part falls at most H/delta <= G/(2W), which is 1/2 in
+    the box.  So a line through two points of a block falls at most 3s
+    per unit of x.  Anchors u < v with u >= h = 1/(t+1) have dy =
+    dx*(u+v)/(1-uv) >= 3h*dx, and s <= h/2, 4s <= dx, so dy > 3s*(dx + s)
+    + s^2: the line passes above every later box and, mirrored, below
+    every earlier one.  A turn is affine in each point, so the triples of
+    three blocks turn right if the 64 corner triples of their boxes do;
+    the tests check those for t = 3..18, every n the cap admits.
     """
     if n < 6:
         raise ValueError("the arc assembly needs n >= 6")
@@ -419,7 +410,7 @@ def build_convex_free(l: int, n: int) -> PointSet:
         dx, dy = w_lcm * ax << (e + 1), h_lcm * ay << (2 * e)
         placed.append([(fx * (x - x0) + dx, fy * (y - y0) + dy)
                        for x, y in blk])
-    if not _blocks_pairwise_ok([int_hull(pts) for pts in placed]):
+    if not _blocks_ok([int_hull(pts) for pts in placed], -1):
         raise ConstructionError("arc placement did not verify")
     out = [p for pts in placed for p in pts]
     return _point_set(int_normalize([x for x, _ in out], [y for _, y in out]))

@@ -34,9 +34,9 @@ Conventions:
   floats is the float of the exact minimum, by monotonicity, so each
   comparison with a threshold is decided exactly unless the two floats
   are equal.  Only a successor whose float equals a threshold's takes its
-  exact key, against thresholds rebuilt from the predecessors' exact
-  keys; two infinities are such a tie.  ``max_collinear`` groups every
-  anchor with a float tie by exact keys.
+  exact key, against exact thresholds over the predecessors whose floats
+  are thresholds; two infinities are such a tie.  ``max_collinear`` groups
+  every anchor with a float tie by exact keys.
 * The label tables also say whether any three points are collinear.  A
   collinear triple has equal exact slopes from its leftmost point to the
   other two, hence equal floats; at an anchor with equal successor floats
@@ -182,20 +182,6 @@ def _packed(row) -> bytearray | array:
         return array("H", row)
 
 
-def _exact_thresholds(coords: Sequence[tuple[int, int]], i: int, X, Y,
-                      scale: int, width_x: int, width_y: int):
-    """Anchor i's thresholds on the exact slope keys of its predecessors,
-    filed under the labels in column i of the finished rows of X and Y, on
-    lists as long as the anchor's float ones."""
-    inf = math.inf
-    xi, yi = coords[i]
-    lo = [-inf] + [inf] * (width_x - 1)
-    hi = [inf] + [-inf] * (width_y - 1)
-    for (x, y), cup, cap in zip(coords[:i], X, Y):
-        _file(lo, hi, (yi - y) * scale // (xi - x), cup[i], cap[i])
-    return lo, hi
-
-
 def _label_tables_python(coords: Sequence[tuple[int, int]]):
     """Cup table X, cap table Y, and whether three points are collinear.
 
@@ -213,11 +199,19 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
 
     A float comparison decides exactly unless the successor's float equals
     a threshold's (module docstring).  Such a tied successor takes its
-    labels from its exact key and the anchor's exact thresholds, and its
-    slope is filed again under them.  Its first filing was under labels no
-    larger, so the lists end as the second filing alone would leave them.
-    A collinear triple shows as two equal float slopes from its leftmost
-    point, where exact keys decide.
+    labels from its exact key and exact thresholds, which the anchor files
+    from the exact keys of the predecessors whose floats are thresholds,
+    and no others.  They decide exactly: if a predecessor h has a key
+    below the successor's and cup label c, a predecessor whose float is
+    threshold c has label >= c and a float no larger than h's, so a key
+    below the successor's unless both floats equal the successor's, and
+    then h is filed too; caps mirror this.  Entry 0 makes each label at
+    least 1.  The successor's slope is filed again under them; its first
+    filing was under labels no larger, so the lists end as the second
+    filing alone would leave them.  So a tied anchor costs one pass over
+    its predecessors and a bisection a successor, even when every slope
+    rounds to one float.  A collinear triple shows as two equal float
+    slopes from its leftmost point, where exact keys decide.
 
     Row i of the tables is made when anchor i comes up, after the last
     anchor's temporaries are dropped, as a list, so the stores into it stay
@@ -279,7 +273,13 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
         if tied:
             scale = scale or slope_scale(coords)
             ties = {*T, *U}
-            T, U = _exact_thresholds(coords, i, X, Y, scale, len(T), len(U))
+            # exact thresholds over the predecessors whose floats are
+            # thresholds, which hold each threshold's own predecessor
+            T = [-inf] + [inf] * (len(T) - 1)
+            U = [inf] + [-inf] * (len(U) - 1)
+            for (x, y), cup, cap in zip(coords[:i], X, Y):
+                if _slope(yi - y, xi - x) in ties:
+                    _file(T, U, (yi - y) * scale // (xi - x), cup[i], cap[i])
             R = U[::-1]
             for j, s in enumerate(sk, i + 1):
                 if s not in ties:

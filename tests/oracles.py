@@ -12,22 +12,23 @@ library's tables and witnesses, tie-breaks included, at any size:
 ``exact_max_collinear`` is the library's anchor scan, and
 ``exact_label_tables`` the sort-and-sweep that the pure-Python tables ran
 before their push-forward sweep.  ``relative_chain_dp`` is the relative
-chain DP one turn sign at a time, testing each pair's line itself.  ``ref_combine_flat``,
-``ref_build_free_set`` and ``ref_build_convex_free`` are the constructions
-placed in ``Fraction`` coordinates, scale by scale, as the library's
-integer-pair builders must reproduce them point for point.
+chain DP one turn sign at a time, testing each pair's line itself.
+``ref_combine_flat``, ``ref_build_free_set`` and ``ref_build_convex_free``
+are the constructions placed in ``Fraction`` coordinates, scale by scale,
+as the library's integer-pair builders must reproduce them point for
+point; their placement check (``ref_blocks_ok``, every hull-vertex pair
+and triple) and their largest-remainder allocation are their own.
 """
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Optional
 
 from cupcap.bounds import free_set_size_bound
-from cupcap.constructions import _int_hulls_side, _largest_remainder
 from cupcap.extremal import _chain_backward, _max_label_pair
-from cupcap.geom import Point, PointSet, int_coords, int_cross, int_hull, \
-    slope_scale
+from cupcap.geom import Point, PointSet, int_coords, int_cross, slope_scale
 from cupcap.relative import _line_misses
 
 # the Fraction placements below halve their scale until their checks pass;
@@ -497,8 +498,8 @@ def ref_base_capfree(l: int, n: int) -> PointSet:
 
 def ref_combine_flat(a: PointSet, b: PointSet) -> PointSet:
     """The right part b flattened by t = 2^-k and stacked above and to the
-    right of a, t halved from an analytic guess until both hull checks
-    pass on the union's ``int_coords``."""
+    right of a, t halved from an analytic guess until ``ref_blocks_ok``
+    passes; the union's ``int_coords``."""
     a0, b0 = _to_origin(a), _to_origin(b)
     wa, ha = _extent(a0)
     wb, hb = _extent(b0)
@@ -509,12 +510,10 @@ def ref_combine_flat(a: PointSet, b: PointSet) -> PointSet:
     guess = delta / (2 * h_max * max(x_max, Fraction(1)))
     t = _pow2_at_most(min(guess, Fraction(1)))
     for _ in range(_MAX_ATTEMPTS):
-        c = int_coords([*(Point(p.x, t * p.y) for p in a0),
-                        *(Point(p.x + wa + 1, t * p.y + t * ha + 1)
-                          for p in b0)])
-        hl, hr = int_hull(c[:len(a0)]), int_hull(c[len(a0):])
-        if _int_hulls_side(hl, hr, 1) and _int_hulls_side(hr, hl, -1):
-            return PointSet(Point(Fraction(x), Fraction(y)) for x, y in c)
+        left = [Point(p.x, t * p.y) for p in a0]
+        right = [Point(p.x + wa + 1, t * p.y + t * ha + 1) for p in b0]
+        if ref_blocks_ok([left, right], 1):
+            return _normalized([*left, *right])
         t = t / 2
     raise AssertionError("flat placement did not verify")
 
@@ -532,26 +531,46 @@ def ref_build_free_set(l: int, m: int, n: int) -> PointSet:
     return rec(m, n)
 
 
-def _ref_blocks_ok(placed) -> bool:
-    coords = iter(int_coords([p for block in placed for p in block]))
-    hulls = [int_hull(islice(coords, len(block)))
-             for block in placed]
+def ref_blocks_ok(parts, sign: int) -> bool:
+    """The placement check on parts given left to right, by its definition:
+    every line through two hull vertices of one part, taken in (x, y)
+    order, has each hull vertex of a later part strictly on side ``sign``
+    and each hull vertex of an earlier part strictly on side -sign, and
+    every triple of hull vertices from three parts turns with ``sign``;
+    ``Fraction`` cross products on ``monotone_chain`` hulls."""
+    hulls = [sorted(monotone_chain(part), key=lambda p: (p.x, p.y))
+             for part in parts]
     for i, j in combinations(range(len(hulls)), 2):
-        if not (_int_hulls_side(hulls[i], hulls[j], -1)
-                and _int_hulls_side(hulls[j], hulls[i], 1)):
-            return False
-    return all(int_cross(p, q, r) < 0
+        for p, q in combinations(hulls[i], 2):
+            if any(cross(p, q, r) * sign <= 0 for r in hulls[j]):
+                return False
+        for p, q in combinations(hulls[j], 2):
+            if any(cross(p, q, r) * sign >= 0 for r in hulls[i]):
+                return False
+    return all(cross(p, q, r) * sign > 0
                for hi, hj, hk in combinations(hulls, 3)
                for p in hi for q in hj for r in hk)
+
+
+def _ref_largest_remainder(shares, total: int) -> list[int]:
+    """Whole parts of ``shares`` summing to ``total``: each share rounded
+    down, and one more to each of the largest fractional parts, the earlier
+    share first among equal ones."""
+    whole = [math.floor(v) for v in shares]
+    ranked = sorted(range(len(shares)), key=lambda i: shares[i] - whole[i],
+                    reverse=True)
+    for i in ranked[:total - sum(whole)]:
+        whole[i] += 1
+    return whole
 
 
 def ref_build_convex_free(l: int, n: int) -> PointSet:
     """Trimmed free-set blocks on the unit quarter circle's rational points
     (2u, 1 - u^2)/(1 + u^2), u = i/(t+1); block size and flatness halve
-    together until ``_ref_blocks_ok`` passes."""
+    together until ``ref_blocks_ok`` passes."""
     target = (3 * l - 1) * 2 ** (n - 5)
     shapes = [(n, 3)] + [(n - 2 - i, 4 + i) for i in range(n - 5)] + [(3, n)]
-    allot = _largest_remainder(
+    allot = _ref_largest_remainder(
         [free_set_size_bound(l, mm, nn) for mm, nn in shapes], target)
     trimmed = [ref_build_free_set(l, mm, nn)[:k]
                for (mm, nn), k in zip(shapes, allot)]
@@ -572,7 +591,7 @@ def ref_build_convex_free(l: int, n: int) -> PointSet:
         placed = [[Point(size / w * p.x + anchor.x - size / 2,
                          size * flat / h * p.y + anchor.y) for p in b0]
                   for (b0, w, h), anchor in zip(norm, anchors)]
-        if _ref_blocks_ok(placed):
+        if ref_blocks_ok(placed, -1):
             return _normalized(p for block in placed
                                for p in sorted(block, key=lambda p: p.x))
         size, flat = size / 2, flat / 2

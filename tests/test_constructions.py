@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,8 +12,8 @@ from cupcap import (ConstructionError, Point, PointSet, build_base_capfree,
                     longest_cup_size, max_collinear, normalize_integer_coords,
                     orientation, verify_construction)
 from cupcap.constructions import (_arc_anchors, _base_capfree,
-                                  _base_cupfree, _blocks_pairwise_ok,
-                                  _combine, _free_part, _int_hulls_side)
+                                  _base_cupfree, _blocks_ok, _combine,
+                                  _free_part)
 from cupcap.geom import cross_sign, int_coords, int_cross, int_hull
 
 import oracles
@@ -114,30 +115,27 @@ class TestCombineFlat:
             combine_flat(PointSet([]), PointSet.of([(0, 0)]))
 
     def test_hull_pairs_side_matches_fraction_hull_vertices(self):
-        # every strict hull vertex of lower against every line through two
-        # strict hull vertices of upper, each pair taken in (x, y) order, on
-        # Fraction cross products; the integer check reads both hulls off
-        # one int_coords array
+        # two parts apart in x, the right one moved by an independent
+        # vertical offset, against ``oracles.ref_blocks_ok`` on both sides;
+        # the integer check reads both hulls off one int_coords array
         rng = random.Random(31)
 
-        def draw(k, dy):
-            return [Point(Fraction(rng.randrange(-9, 10), rng.choice((1, 3))),
-                          Fraction(rng.randrange(0, 5), rng.choice((1, 2)))
-                          + dy) for _ in range(k)]
+        def draw(xs, dy):
+            return [Point(Fraction(x, 3), Fraction(rng.randrange(0, 5),
+                                                   rng.choice((1, 2))) + dy)
+                    for x in xs]
 
         outcomes = set()
         for _ in range(300):
-            upper = draw(rng.randrange(1, 7), 0)
-            lower = draw(rng.randrange(1, 5), rng.randrange(-60, 61))
-            pairs = combinations(sorted(oracles.monotone_chain(upper),
-                                        key=lambda p: (p.x, p.y)), 2)
-            crosses = [oracles.cross(p, q, r) for p, q in pairs
-                       for r in oracles.monotone_chain(lower)]
-            c = int_coords([*upper, *lower])
-            hu, hl = int_hull(c[:len(upper)]), int_hull(c[len(upper):])
+            k, j = rng.randrange(1, 7), rng.randrange(1, 5)
+            xs = sorted(rng.sample(range(-27, 28), k + j))
+            left = draw(xs[:k], 0)
+            right = draw(xs[k:], rng.randrange(-60, 61))
+            c = int_coords([*left, *right])
+            hulls = [int_hull(c[:k]), int_hull(c[k:])]
             for want in (1, -1):
-                expect = all(v * want > 0 for v in crosses)
-                assert _int_hulls_side(hu, hl, want) == expect
+                expect = oracles.ref_blocks_ok([left, right], want)
+                assert _blocks_ok(hulls, want) == expect
                 outcomes.add((want, expect))
         assert len(outcomes) == 4
 
@@ -237,21 +235,21 @@ class TestMatchesFractionReference:
         # refused before any placement
         calls = []
 
-        def counted(hu, hl, want_sign):
-            calls.append(want_sign)
-            return _int_hulls_side(hu, hl, want_sign)
+        def counted(hulls, sign):
+            calls.append((len(hulls), sign))
+            return _blocks_ok(hulls, sign)
 
-        monkeypatch.setattr("cupcap.constructions._int_hulls_side", counted)
+        monkeypatch.setattr("cupcap.constructions._blocks_ok", counted)
         with pytest.raises(ConstructionError, match="equal x"):
             combine_flat(PointSet.of([(0, 0), (1, 5)]),
                          PointSet.of([(3, 2), (3, 4)]))
         assert calls == []
         combine_flat(PointSet.of([(0, 0), (1, 5)]),
                      PointSet.of([(3, 2), (4, 4)]))
-        assert calls == [1, -1]
+        assert calls == [(2, 1)]
         calls.clear()
         build_free_set(4, 6, 6)
-        assert len(calls) == 2 * 9  # one combine per (m, n) in 4..6
+        assert calls == [(2, 1)] * 9  # one combine per (m, n) in 4..6
 
     def test_failing_placement_raises(self, monkeypatch):
         # unscaled, the right part sits one unit above the left part, and
@@ -334,27 +332,29 @@ class TestBuildConvexFree:
 
     def test_one_placement_is_checked(self, monkeypatch):
         # the analytic scale always verifies, so the blocks are placed and
-        # checked once, and a failing check raises at once
+        # checked once, and a failing check raises at once; the free parts'
+        # combines call the same check, with side +1
         calls = []
 
-        def counted(hulls):
-            calls.append(len(hulls))
-            return _blocks_pairwise_ok(hulls)
+        def counted(hulls, sign):
+            calls.append((len(hulls), sign))
+            return _blocks_ok(hulls, sign)
 
-        def failing(hulls):
-            calls.append(len(hulls))
-            return False
+        def failing(hulls, sign):
+            calls.append((len(hulls), sign))
+            return sign == 1 and _blocks_ok(hulls, sign)
 
-        monkeypatch.setattr("cupcap.constructions._blocks_pairwise_ok",
-                            counted)
+        monkeypatch.setattr("cupcap.constructions._blocks_ok", counted)
         build_convex_free(3, 7)
-        assert calls == [4]  # one check of the n - 3 blocks
+        # one check of the n - 3 blocks, after the combines of the
+        # (m, n) = (5, 4) and (4, 5) blocks
+        assert calls == [(2, 1)] * 3 + [(4, -1)]
         calls.clear()
-        monkeypatch.setattr("cupcap.constructions._blocks_pairwise_ok",
-                            failing)
-        with pytest.raises(ConstructionError, match="did not verify"):
+        monkeypatch.setattr("cupcap.constructions._blocks_ok", failing)
+        with pytest.raises(ConstructionError,
+                           match="^arc placement did not verify$"):
             build_convex_free(3, 7)
-        assert calls == [4]
+        assert [c for c in calls if c[1] == -1] == [(4, -1)]
 
     def test_free_part_prefixes_fall_at_most_three(self):
         # the docstring's slope bound: in its bounding box scaled to 1 x 1,
@@ -404,10 +404,54 @@ class TestBuildConvexFree:
 
     def test_blocks_check_refuses_each_condition(self):
         # a line through block 0 passes below block 1
-        assert not _blocks_pairwise_ok([[(0, 10), (1, 0)], [(2, 5), (3, 4)]])
-        # one point a block: no line to test, but a collinear triple
-        assert not _blocks_pairwise_ok([[(0, 10)], [(5, 5)], [(10, 0)]])
-        assert _blocks_pairwise_ok([[(0, 10)], [(5, 6)], [(10, 0)]])
+        assert not _blocks_ok([[(0, 10), (1, 0)], [(2, 5), (3, 4)]], -1)
+        # a line through block 1 passes above block 0
+        assert not _blocks_ok([[(0, -5)], [(1, 1), (2, 3)]], -1)
+        assert _blocks_ok([[(0, 0)], [(1, 1), (2, 3)]], -1)
+        # one point a block: no line within one, but a collinear triple
+        assert not _blocks_ok([[(0, 10)], [(5, 5)], [(10, 0)]], -1)
+        assert _blocks_ok([[(0, 10)], [(5, 6)], [(10, 0)]], -1)
+
+
+class TestPlacementCheck:
+    """``_blocks_ok`` against ``oracles.ref_blocks_ok``, which tests every
+    pair and triple of hull vertices on Fraction cross products."""
+
+    def test_matches_reference_on_x_separated_parts(self):
+        # 1-4 parts of 1-4 points with distinct x, in order, each part
+        # lifted by lift * j^2 or lowered by it, so the parts bend up or
+        # down and the placement passes or fails on either side
+        rng = random.Random(31)
+        outcomes = Counter()
+        for _ in range(10_000):
+            sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 5))]
+            xs = iter(sorted(rng.sample(range(8 * sum(sizes)), sum(sizes))))
+            dy = rng.choice((1, -1)) * rng.choice((0, 16, 256, 4096, 65536))
+            parts = [[Point(Fraction(next(xs), 3),
+                            Fraction(rng.randrange(0, 5), rng.choice((1, 2)))
+                            + dy * j * j) for _ in range(size)]
+                     for j, size in enumerate(sizes)]
+            c = iter(int_coords([p for part in parts for p in part]))
+            hulls = [int_hull([next(c) for _ in part]) for part in parts]
+            sign = rng.choice((1, -1))
+            expect = oracles.ref_blocks_ok(parts, sign)
+            assert _blocks_ok(hulls, sign) == expect
+            outcomes[expect, len(parts) >= 3] += 1
+        assert outcomes[True, False] + outcomes[True, True] >= 1000
+        assert outcomes[False, False] + outcomes[False, True] >= 1000
+        assert outcomes[True, True] >= 100  # triples of three parts pass
+
+    def test_refuses_parts_not_apart_in_x(self):
+        # the consecutive x-pairs decide every line only when x increases
+        # strictly along the sorted hulls: overlapping x-ranges and equal x
+        # within one hull are refused, on either side
+        assert _blocks_ok([[(0, 0), (5, 1)], [(10, 100)]], 1)
+        for sign in (1, -1):
+            assert not _blocks_ok([[(0, 0), (5, 1)], [(4, 100)]], sign)
+            assert not _blocks_ok([[(0, 0), (5, 1)], [(5, 100)]], sign)
+            assert not _blocks_ok([[(0, 0), (0, 1)], [(5, 100)]], sign)
+            assert not _blocks_ok([[(0, 0)], [(5, 0), (6, 1), (5, 2)]],
+                                  sign)
 
 
 class TestAffineRobustness:

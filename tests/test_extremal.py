@@ -3,6 +3,7 @@ import random
 import re
 from array import array
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -465,6 +466,20 @@ class TestPushForwardKernel:
             self.check(coords)
         assert ties
 
+    def test_every_slope_one_float(self):
+        # sheared by slope 2**80, with offsets far below the float's ulp
+        # there: every slope rounds to 2.0**80, so every anchor ties and
+        # each successor is decided among all its predecessors' exact keys
+        rng = random.Random(1 << 80)
+        chain = [(k, (k << 80) + k * k) for k in range(60)]
+        noisy = [(k, (k << 80) + rng.randrange(-99, 100)) for k in range(40)]
+        for coords in (chain, noisy):
+            assert {(y - y0) / (x - x0) for (x0, y0), (x, y)
+                    in combinations(coords, 2)} == {2.0 ** 80}
+            self.check(coords)
+        X, _, _ = _label_tables_python(chain)
+        assert X[58][59] == 59
+
     def test_slopes_overflowing_both_ways(self):
         # dx of 1 to 3 under dy of about +-2**1030: quotients past the
         # float range, which the kernel takes as +inf and -inf
@@ -486,16 +501,18 @@ class TestPushForwardKernel:
         self.check(coords)
 
     def test_tie_path_on_x577(self, monkeypatch):
-        # x:5,7,7 has collinear triples, so anchors take the exact
-        # thresholds; their tables must still equal the reference's
+        # x:5,7,7 has collinear triples, so successors tie with a
+        # threshold and take their exact labels; only the tie path refiles
+        # a slope with ``_file``, and the tables must still equal the
+        # reference's
         calls = []
-        exact = extremal._exact_thresholds
+        file = extremal._file
 
         def counted(*args):
-            calls.append(args[1])
-            return exact(*args)
+            calls.append(args[2])
+            return file(*args)
 
-        monkeypatch.setattr(extremal, "_exact_thresholds", counted)
+        monkeypatch.setattr(extremal, "_file", counted)
         coords = int_coords(sorted(build_free_set(5, 7, 7),
                                    key=lambda p: p.x))
         X, Y, collinear = _label_tables_python(coords)
