@@ -131,10 +131,11 @@ def _blocks_ok(hulls: Sequence[Sequence[tuple[int, int]]], sign: int) -> bool:
     give the mirror.  So the check needs x to increase strictly along the
     concatenated sorted hulls, and returns False where it does not.
 
-    Only hull vertices are tested.  That covers every point tested
-    against a line (the turn is affine in it), but not every pair of
-    points; the callers' slope bounds cover every pair as well
-    (``_combine``, ``build_convex_free``).
+    Given hulls, only hull vertices are tested.  That covers every point
+    tested against a line (the turn is affine in it), but not every pair
+    of points; the callers' slope bounds cover every pair as well
+    (``_combine``, ``build_convex_free``).  Given whole parts in place of
+    their hulls, it decides every line through two points.
     """
     hulls = [sorted(hull) for hull in hulls]
     pts = [p for hull in hulls for p in hull]

@@ -213,11 +213,10 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
     rounds to one float.  A collinear triple shows as two equal float
     slopes from its leftmost point, where exact keys decide.
 
-    Row i of the tables is made when anchor i comes up, after the last
-    anchor's temporaries are dropped, as a list, so the stores into it stay
-    fast and the tie path can rewrite them; it is packed when the next
-    anchor comes up.  So the n-slot lists live one anchor at a time, and
-    the finished rows take a byte a label."""
+    Row i of the tables is made when anchor i comes up, as a list, so the
+    stores into it stay fast and the tie path can rewrite them; it is
+    packed at the end of anchor i's step.  So the n-slot lists live one
+    anchor at a time, and the finished rows take a byte a label."""
     n = len(coords)
     inf = math.inf
     X = [None] * n
@@ -226,9 +225,6 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
     scale = 0
     # the last point starts no pair
     for i, (xi, yi) in enumerate(coords[:-1]):
-        after = sk = distinct = T = U = None
-        if i:  # the last anchor's row is final
-            X[i - 1], Y[i - 1] = _packed(Xi), _packed(Yi)
         Xi = X[i] = [1] * n
         Yi = Y[i] = [1] * n
         after = coords[i + 1:]
@@ -246,6 +242,7 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
             # list is a free top slot.
             low = [None] + [[-inf, s, inf] for s in sk]
             high = [None] + [[inf, s, -inf] for s in sk]
+            X[0], Y[0] = _packed(Xi), _packed(Yi)
             continue
         T, U = low[i], high[i]
         low[i] = high[i] = None
@@ -295,8 +292,7 @@ def _label_tables_python(coords: Sequence[tuple[int, int]]):
                 if b == len(high[j]):
                     _grow(high[i + 1:], -inf)
                 _file(low[j], high[j], s, a, b)
-    if n > 1:
-        X[-2], Y[-2] = _packed(Xi), _packed(Yi)
+        X[i], Y[i] = _packed(Xi), _packed(Yi)
     if n:
         X[-1], Y[-1] = bytearray(b"\x01") * n, bytearray(b"\x01") * n
     return X, Y, collinear
@@ -615,26 +611,25 @@ def _edges_by_angle(coords: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(e[3], e[4]) for e in keyed]
 
 
-def _anchor_sweep(edges, a: int, n: int, table=None) -> int:
+def _anchor_sweep(edges, a: int, table) -> int:
     """Vertices of the largest polygon whose (y, x)-lowest vertex is ``a``,
-    swept over ``edges`` (angular order, endpoints in ``range(n)``); 2 when
-    there is none.
+    swept over ``edges`` (angular order, endpoints in ``range(n)``) into
+    the n x n ``table``; 2 when there is none.
 
     L[v] is the most vertices on a chain a -> ... -> v of edges taken in
     sweep order, never labelling a point below a.  Each edge u -> v either
     extends a chain to v > a or, when v == a, closes a polygon of L[u]
-    vertices.  Given ``table``, every edge u -> v with L[u] > 0 writes
-    ``table[u][v] = L[u]``.
+    vertices.  Every edge u -> v with L[u] > 0 writes ``table[u][v] =
+    L[u]``.
     """
-    L = [0] * n
+    L = [0] * len(table)
     L[a] = 1
     size = 2
     for u, v in edges:
         lu = L[u]
         if not lu:
             continue
-        if table is not None:
-            table[u][v] = lu
+        table[u][v] = lu
         if v == a:
             if lu > size:
                 size = lu
@@ -644,7 +639,8 @@ def _anchor_sweep(edges, a: int, n: int, table=None) -> int:
 
 
 def _anchor_sizes(edges, n: int) -> list[int]:
-    """``_anchor_sweep(edges, a, n)`` for every anchor a, in one sweep.
+    """The size ``_anchor_sweep(edges, a, table)`` returns, for every
+    anchor a, in one sweep.
 
     B[v][k] is the bitmask of the anchors a with L_a[v] >= k + 1, so B[v]
     starts as ``[1 << v]``.  An edge u -> v closes polygons for anchor v
@@ -734,7 +730,7 @@ def max_convex_subset(ps: PointSet) -> StructureWitness:
         pos = {v: k for k, v in enumerate(fan)}
         c = len(fan)
         T = [[0] * c for _ in range(c)]
-        _anchor_sweep([(pos[u], pos[v]) for u, v in best_edges], 0, c, T)
+        _anchor_sweep([(pos[u], pos[v]) for u, v in best_edges], 0, T)
         fc = [coords[v] for v in fan]
         polygon = next(
             _chain_backward(fc, T, i, j, +1)

@@ -360,7 +360,7 @@ def check_selection_tuples(groups: Sequence[Sequence[Point]],
     else:
         mode, checked = "sampled", sample_budget
         rng = random.Random(seed)
-        tuples = (tuple(g[rng.randrange(len(g))] for g in index_groups)
+        tuples = (tuple(map(rng.choice, index_groups))
                   for _ in range(sample_budget))
     violations, counterexample = 0, None
     for tup in tuples:

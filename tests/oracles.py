@@ -12,12 +12,14 @@ library's tables and witnesses, tie-breaks included, at any size:
 ``exact_max_collinear`` is the library's anchor scan, and
 ``exact_label_tables`` the sort-and-sweep that the pure-Python tables ran
 before their push-forward sweep.  ``relative_chain_dp`` is the relative
-chain DP one turn sign at a time, testing each pair's line itself.
+chain DP one turn sign at a time, with its own line test, argmax and
+backward walk.
 ``ref_combine_flat``, ``ref_build_free_set`` and ``ref_build_convex_free``
 are the constructions placed in ``Fraction`` coordinates, scale by scale,
 as the library's integer-pair builders must reproduce them point for
-point; their placement check (``ref_blocks_ok``, every hull-vertex pair
-and triple) and their largest-remainder allocation are their own.
+point; their placement check (``ref_blocks_ok``, every pair and triple
+of hull vertices, or of whole parts' points) and their largest-remainder
+allocation are their own.
 """
 
 import math
@@ -27,9 +29,7 @@ from itertools import combinations
 from typing import Optional
 
 from cupcap.bounds import free_set_size_bound
-from cupcap.extremal import _chain_backward, _max_label_pair
-from cupcap.geom import Point, PointSet, int_coords, int_cross, slope_scale
-from cupcap.relative import _line_misses
+from cupcap.geom import Point, PointSet, int_coords, slope_scale
 
 # the Fraction placements below halve their scale until their checks pass;
 # the library checks one placement, so this bound is the references' own
@@ -400,28 +400,51 @@ def is_outer_cup(sub, body_vertices) -> bool:
     return True
 
 
+def _pair_cross(o, a, b):
+    """``cross`` on coordinate pairs."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _one_side(a, b, verts):
+    """Whether every vertex lies strictly on one side of line ab."""
+    crosses = [_pair_cross(a, b, v) for v in verts]
+    return all(w > 0 for w in crosses) or all(w < 0 for w in crosses)
+
+
 def relative_chain_dp(order, coords, verts, sign, pair_ok=None):
     """The relative chain DP for one turn sign (-1: inner-cap, +1:
-    outer-cup), with its own line test: the per-sign triple loop that
-    ``relative._relative_chains`` replaced, kept as a reference for its
-    tables and witnesses.  Returns the pair table in radial positions and
-    the chain as indices into the input."""
+    outer-cup): the per-sign triple loop that ``relative._relative_chains``
+    replaced, kept as a reference for its tables and witnesses.  Its line
+    test (every body vertex strictly on one side), its argmax (the first
+    pair in (j, k) order holding the maximum) and its backward walk (the
+    smallest i one label lower whose turn has the sign) are its own.
+    Returns the pair table in radial positions and the chain as indices
+    into the input."""
     n = len(order)
     c = [coords[i] for i in order]
     T = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k):
             if (pair_ok is None or pair_ok(order[j], order[k])) and \
-                    _line_misses(c[j], c[k], verts):
+                    _one_side(c[j], c[k], verts):
                 t = 1
                 for i in range(j):
-                    if T[i][j] >= t and int_cross(c[i], c[j], c[k]) * sign > 0:
+                    if T[i][j] >= t and \
+                            _pair_cross(c[i], c[j], c[k]) * sign > 0:
                         t = T[i][j] + 1
                 T[j][k] = t
-    _, best_pair = _max_label_pair(T)
-    if best_pair is None:
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    best = max((T[j][k] for j, k in pairs), default=0)
+    if not best:
         return T, [order[0]]
-    return T, [order[i] for i in _chain_backward(c, T, *best_pair, sign)]
+    j, k = next((j, k) for j, k in pairs if T[j][k] == best)
+    chain = [k, j]
+    while T[j][k] > 1:
+        i = next(i for i in range(j) if T[i][j] == T[j][k] - 1
+                 and _pair_cross(c[i], c[j], c[k]) * sign > 0)
+        chain.append(i)
+        j, k = i, j
+    return T, [order[i] for i in reversed(chain)]
 
 
 def brute_largest_relative(pts, body_vertices, predicate) -> int:
@@ -531,14 +554,16 @@ def ref_build_free_set(l: int, m: int, n: int) -> PointSet:
     return rec(m, n)
 
 
-def ref_blocks_ok(parts, sign: int) -> bool:
+def ref_blocks_ok(parts, sign: int, whole: bool = False) -> bool:
     """The placement check on parts given left to right, by its definition:
     every line through two hull vertices of one part, taken in (x, y)
     order, has each hull vertex of a later part strictly on side ``sign``
     and each hull vertex of an earlier part strictly on side -sign, and
     every triple of hull vertices from three parts turns with ``sign``;
-    ``Fraction`` cross products on ``monotone_chain`` hulls."""
-    hulls = [sorted(monotone_chain(part), key=lambda p: (p.x, p.y))
+    ``Fraction`` cross products on ``monotone_chain`` hulls.  With
+    ``whole``, each part's own points stand in for its hull."""
+    hulls = [sorted(part if whole else monotone_chain(part),
+                    key=lambda p: (p.x, p.y))
              for part in parts]
     for i, j in combinations(range(len(hulls)), 2):
         for p, q in combinations(hulls[i], 2):

@@ -11,9 +11,10 @@ from cupcap import (ConstructionError, Point, PointSet, build_base_capfree,
                     cup_cap_threshold, free_set_size_bound, longest_cap_size,
                     longest_cup_size, max_collinear, normalize_integer_coords,
                     orientation, verify_construction)
+from cupcap.bounds import convex_forcing_lower
 from cupcap.constructions import (_arc_anchors, _base_capfree,
                                   _base_cupfree, _blocks_ok, _combine,
-                                  _free_part)
+                                  _free_part, _largest_remainder)
 from cupcap.geom import cross_sign, int_coords, int_cross, int_hull
 
 import oracles
@@ -415,12 +416,14 @@ class TestBuildConvexFree:
 
 class TestPlacementCheck:
     """``_blocks_ok`` against ``oracles.ref_blocks_ok``, which tests every
-    pair and triple of hull vertices on Fraction cross products."""
+    pair and triple of hull vertices, or of whole parts' points, on
+    Fraction cross products."""
 
     def test_matches_reference_on_x_separated_parts(self):
         # 1-4 parts of 1-4 points with distinct x, in order, each part
         # lifted by lift * j^2 or lowered by it, so the parts bend up or
-        # down and the placement passes or fails on either side
+        # down and the placement passes or fails on either side; each draw
+        # is checked on the parts' hulls and on the whole parts
         rng = random.Random(31)
         outcomes = Counter()
         for _ in range(10_000):
@@ -432,14 +435,50 @@ class TestPlacementCheck:
                             + dy * j * j) for _ in range(size)]
                      for j, size in enumerate(sizes)]
             c = iter(int_coords([p for part in parts for p in part]))
-            hulls = [int_hull([next(c) for _ in part]) for part in parts]
+            whole = [[next(c) for _ in part] for part in parts]
             sign = rng.choice((1, -1))
-            expect = oracles.ref_blocks_ok(parts, sign)
-            assert _blocks_ok(hulls, sign) == expect
-            outcomes[expect, len(parts) >= 3] += 1
-        assert outcomes[True, False] + outcomes[True, True] >= 1000
-        assert outcomes[False, False] + outcomes[False, True] >= 1000
-        assert outcomes[True, True] >= 100  # triples of three parts pass
+            for given, is_whole in (([*map(int_hull, whole)], False),
+                                    (whole, True)):
+                expect = oracles.ref_blocks_ok(parts, sign, is_whole)
+                assert _blocks_ok(given, sign) == expect
+                outcomes[is_whole, expect, len(parts) >= 3] += 1
+        for w in (False, True):
+            assert outcomes[w, True, False] + outcomes[w, True, True] >= 1000
+            assert outcomes[w, False, False] + outcomes[w, False, True] \
+                >= 1000
+            assert outcomes[w, True, True] >= 100  # three parts pass
+
+    def test_builders_placements_pass_on_whole_parts(self, monkeypatch):
+        # every placement the builders make passes the check on whole parts,
+        # not only on hulls, which makes the slope bounds in the docstrings
+        # of _combine and build_convex_free tested facts at these sizes:
+        # each recorded combine's output lists its left part first, and the
+        # arc's output lists its blocks in order, by the allocated sizes
+        combines = []
+
+        def recorded(a, b, *units):
+            out = _combine(a, b, *units)
+            combines.append((len(a[0]), out[0]))
+            return out
+
+        monkeypatch.setattr("cupcap.constructions._combine", recorded)
+        for l, top in ((3, 8), (4, 7), (5, 7)):
+            build_free_set(l, top, top)
+        assert len(combines) == 25 + 16 + 16  # one per (m, n) in 4..top
+        for k, pts in combines:
+            assert _blocks_ok([pts[:k], pts[k:]], 1)
+        monkeypatch.undo()
+        for l in (3, 4, 5):
+            for n in range(6, 11):
+                shapes = [(n, 3)] + [(n - 2 - i, 4 + i)
+                                     for i in range(n - 5)] + [(3, n)]
+                sizes = _largest_remainder(
+                    [free_set_size_bound(l, mm, nn) for mm, nn in shapes],
+                    int(convex_forcing_lower(l, n)) - 1)
+                c = iter(int_coords(build_convex_free(l, n)))
+                blocks = [[next(c) for _ in range(k)] for k in sizes]
+                assert next(c, None) is None
+                assert _blocks_ok(blocks, -1), (l, n)
 
     def test_refuses_parts_not_apart_in_x(self):
         # the consecutive x-pairs decide every line only when x increases

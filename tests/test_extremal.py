@@ -599,7 +599,8 @@ class TestMaxConvexSubset:
             n = len(coords)
             edges = extremal._edges_by_angle(coords)
             assert extremal._anchor_sizes(edges, n) == [
-                extremal._anchor_sweep(edges, a, n) for a in range(n)]
+                extremal._anchor_sweep(edges, a, [[0] * n for _ in range(n)])
+                for a in range(n)]
 
     def test_levelwise_oracle_matches_plain_enumeration(self):
         rng = random.Random(5)
